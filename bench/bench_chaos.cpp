@@ -95,7 +95,6 @@ DistillRun run_distillation(const protocol::FaultProfile& profile,
     spec.pulses_per_block = std::size_t{1} << 20;
     spec.blocks = 4;
     spec.rng_seed = seed++;
-    spec.params.ldpc.min_frame = 4096;
     spec.session_transport = true;
     if (profile.any()) {
       spec.schedule.channel_faults.push_back(phase_all_run(profile));

@@ -1,7 +1,7 @@
 // Orchestrator scale sweep: aggregate secret-key throughput from 1 to 128
 // concurrent links with small blocks - the contention gate for the
-// lock-free refactor (SPSC stream rings, sharded KeyStore, work-stealing
-// pool, per-block arenas).
+// lock-free refactor (sharded KeyStore, work-stealing pool, per-block
+// arenas).
 //
 // Three self-gating checks ride on the sweep:
 //   * conservation: every arm drains every store and proves zero lost and

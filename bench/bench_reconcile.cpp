@@ -1,18 +1,16 @@
-// Reconciliation engine A/B bench: legacy float belief propagation vs the
-// batched int8 lockstep decoder, on byte-identical blocks.
+// Reconciliation throughput bench: the batched int8 lockstep decoder
+// through the engine's reconcile stage, one simulated block per distance.
 //
-// Each distance simulates ONE detection record, then post-processes it with
-// both decoder arms from the same seed - the sifted material, the sampled
-// QBER and the frame payloads are identical, so any reconcile-stage delta is
-// the decoder, not the physics. The bench self-gates: the batched arm must
-// clear kMinItemsPerS10km through the reconcile stage at 10 km (5x the
-// pre-batching recorded throughput), and must not lose reconcile or
-// end-to-end time to the legacy arm at any distance where both complete.
-// A violated gate exits non-zero, which fails scripts/run_benches.sh.
+// Each distance simulates ONE detection record and post-processes it from
+// a fixed seed, so the sifted material, the sampled QBER and the frame
+// payloads repeat exactly across runs. The bench self-gates: the reconcile
+// stage must clear kMinItemsPerS10km at 10 km (5x the pre-batching
+// recorded throughput). A violated gate exits non-zero, which fails
+// scripts/run_benches.sh. The JSON rows keep the "batched" key that
+// scripts/bench_compare.py reads.
 //
 // The final stdout line is a machine-readable JSON summary.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -29,10 +27,7 @@ using namespace qkdpp;
 
 // Headline gate: the pre-batching pipeline reconciled 6.44 blocks/s at
 // 10 km (bench/baseline.json history); the batched engine must clear 5x
-// that. An absolute floor rather than the in-run A/B ratio because the
-// legacy arm's convergence is seed-luck (a lucky block decodes in 10
-// iterations, an unlucky one in 300) - the floor pins the claim to the
-// recorded trajectory instead of the luck of one draw.
+// that. An absolute floor pins the claim to the recorded trajectory.
 constexpr double kMinItemsPerS10km = 5.0 * 6.44;
 
 struct Arm {
@@ -64,14 +59,12 @@ struct Arm {
 struct Row {
   double km = 0.0;
   double qber = 0.0;
-  Arm legacy;
   Arm batched;
 };
 
-// Run one decoder arm over a pre-simulated record: warm-up once (pays lazy
-// PEG construction for the code this arm's planner picks), then keep the
-// best of kReps - outcomes are deterministic per seed, only wall-clock
-// varies.
+// Run the engine over a pre-simulated record: warm-up once (pays lazy PEG
+// construction for the code the planner picks), then keep the best of
+// kReps - outcomes are deterministic per seed, only wall-clock varies.
 Arm run_arm(const engine::PostprocessParams& params,
             const engine::BlockInput& input, std::uint64_t rng_seed) {
   engine::PostprocessEngine engine(params, engine::EngineOptions::cpu_only());
@@ -121,11 +114,10 @@ void print_arm_json(const char* name, const Arm& arm) {
 }  // namespace
 
 int main() {
-  std::printf("Reconcile A/B: legacy float BP vs batched int8 lockstep "
-              "decoder (identical blocks per distance)\n\n");
-  std::printf("%6s | %8s | %12s %12s %8s | %12s %12s | %s\n", "km", "QBER",
-              "legacy it/s", "batch it/s", "speedup", "legacy blk/s",
-              "batch blk/s", "verdict");
+  std::printf("Reconcile: batched int8 lockstep decoder (one simulated block "
+              "per distance)\n\n");
+  std::printf("%6s | %8s | %12s %12s | %6s %8s | %s\n", "km", "QBER",
+              "recon it/s", "e2e blk/s", "frames", "iter/frm", "verdict");
 
   std::vector<Row> rows;
   for (const double km : {10.0, 25.0, 50.0, 75.0, 100.0, 125.0, 150.0}) {
@@ -134,8 +126,6 @@ int main() {
     config.pulses_per_block = sim::pulses_for_sifted_target(
         config.link, 40000.0, std::size_t{1} << 20, std::size_t{1} << 26);
 
-    // One simulated record per distance, shared by both arms: the decoder
-    // comparison sees byte-identical sifted material.
     const sim::Bb84Simulator simulator(config.link);
     const std::uint64_t seed = static_cast<std::uint64_t>(km) * 31 + 3;
     Xoshiro256 sim_rng(seed);
@@ -143,41 +133,24 @@ int main() {
         simulator.run(config.pulses_per_block, sim_rng);
     const engine::BlockInput input = engine::make_block_input(record, 1);
 
-    engine::PostprocessParams legacy_params = config;
-    legacy_params.ldpc.decoder.quantized = false;
-    engine::PostprocessParams batched_params = config;
-    batched_params.ldpc.decoder.quantized = true;
-
     Row row;
     row.km = km;
-    row.legacy = run_arm(legacy_params, input, seed * 131 + 7);
-    row.batched = run_arm(batched_params, input, seed * 131 + 7);
-
-    const bool both_ok = row.legacy.ok && row.batched.ok;
-    if (both_ok) {
+    row.batched = run_arm(config, input, seed * 131 + 7);
+    if (row.batched.ok) {
       row.qber = sim::Bb84Simulator::stats(record).total.qber();
-      const double speedup =
-          row.legacy.reconcile_s > 0.0
-              ? row.legacy.reconcile_s / row.batched.reconcile_s
-              : 0.0;
-      std::printf("%6.0f | %7.2f%% | %12.2f %12.2f %7.2fx | %12.2f %12.2f "
-                  "| %s\n",
-                  km, row.qber * 100, row.legacy.items_per_s(),
-                  row.batched.items_per_s(), speedup,
-                  row.legacy.blocks_per_s(), row.batched.blocks_per_s(),
-                  row.batched.e2e_s <= row.legacy.e2e_s ? "e2e faster"
-                                                        : "e2e SLOWER");
+      std::printf("%6.0f | %7.2f%% | %12.2f %12.2f | %6llu %8.2f | ok\n", km,
+                  row.qber * 100, row.batched.items_per_s(),
+                  row.batched.blocks_per_s(),
+                  static_cast<unsigned long long>(row.batched.frames),
+                  row.batched.iterations_mean());
     } else {
-      std::printf("%6.0f | %8s | %12s %12s %8s | %12s %12s | legacy: %s, "
-                  "batched: %s\n",
-                  km, "-", "-", "-", "-", "-", "-",
-                  row.legacy.ok ? "ok" : row.legacy.abort_reason.c_str(),
-                  row.batched.ok ? "ok" : row.batched.abort_reason.c_str());
+      std::printf("%6.0f | %8s | %12s %12s | %6s %8s | %s\n", km, "-", "-",
+                  "-", "-", "-", row.batched.abort_reason.c_str());
     }
     rows.push_back(std::move(row));
   }
 
-  // --- gates -------------------------------------------------------------
+  // --- gate --------------------------------------------------------------
   bool gate_ok = true;
   double items_10km = 0.0;
   for (const Row& row : rows) {
@@ -185,47 +158,25 @@ int main() {
       items_10km = row.batched.items_per_s();
       if (items_10km < kMinItemsPerS10km) {
         gate_ok = false;
-        std::printf("\nGATE VIOLATION: 10 km batched reconcile %.2f items/s "
+        std::printf("\nGATE VIOLATION: 10 km reconcile %.2f items/s "
                     "< required %.2f\n",
                     items_10km, kMinItemsPerS10km);
       }
     }
-    if (!(row.legacy.ok && row.batched.ok)) continue;  // aborted rows don't gate
-    if (row.batched.reconcile_s > row.legacy.reconcile_s) {
-      gate_ok = false;
-      std::printf("\nGATE VIOLATION: %g km batched reconcile %.4fs slower "
-                  "than legacy %.4fs\n",
-                  row.km, row.batched.reconcile_s, row.legacy.reconcile_s);
-    }
-    if (row.batched.e2e_s > row.legacy.e2e_s) {
-      gate_ok = false;
-      std::printf("\nGATE VIOLATION: %g km batched e2e %.4fs slower than "
-                  "legacy %.4fs\n",
-                  row.km, row.batched.e2e_s, row.legacy.e2e_s);
-    }
   }
   if (items_10km == 0.0) {
     gate_ok = false;
-    std::printf("\nGATE VIOLATION: 10 km batched row missing or aborted - "
-                "the headline throughput gate could not run\n");
+    std::printf("\nGATE VIOLATION: 10 km row missing or aborted - the "
+                "headline throughput gate could not run\n");
   }
-  std::printf("\ngate: 10 km batched reconcile %.2f items/s (need >= %.2f), "
-              "batched >= legacy reconcile and e2e at every completed "
-              "distance: %s\n\n",
+  std::printf("\ngate: 10 km reconcile %.2f items/s (need >= %.2f): %s\n\n",
               items_10km, kMinItemsPerS10km, gate_ok ? "PASS" : "FAIL");
 
   std::printf("{\"bench\":\"reconcile\",\"unit\":\"items_per_s\",\"rows\":[");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::printf("%s{\"km\":%.0f", i ? "," : "", row.km);
-    print_arm_json("legacy", row.legacy);
     print_arm_json("batched", row.batched);
-    if (row.legacy.ok && row.batched.ok) {
-      std::printf(",\"reconcile_speedup\":%.2f,\"e2e_speedup\":%.3f",
-                  row.legacy.reconcile_s / row.batched.reconcile_s,
-                  row.batched.e2e_s > 0.0 ? row.legacy.e2e_s / row.batched.e2e_s
-                                          : 0.0);
-    }
     std::printf("}");
   }
   std::printf("],\"gate\":{\"reconcile_items_per_s_10km\":%.2f,"

@@ -1,17 +1,14 @@
 // Experiment F5 - privacy-amplification throughput vs input block length:
 // direct word-sliced Toeplitz vs clmul carry-less convolution vs NTT
-// convolution vs gpu-sim-offloaded NTT. Expected shape: clmul (Karatsuba
-// over PCLMUL/windowed schoolbook) leads from ~2^6 bits up - >= 100x over
-// the NTT at 10^5-bit blocks with hardware carry-less multiply; direct only
-// wins on tiny or very sparse inputs; gpu-sim adds a flat launch + transfer
-// floor that only pays off at large n. The 100000-bit point is the
-// acceptance anchor recorded by scripts/run_benches.sh. google-benchmark
-// binary.
+// convolution. Expected shape: clmul (Karatsuba over PCLMUL/windowed
+// schoolbook) leads from ~2^6 bits up - >= 100x over the NTT at 10^5-bit
+// blocks with hardware carry-less multiply; direct only wins on tiny or
+// very sparse inputs. The 100000-bit point is the acceptance anchor
+// recorded by scripts/run_benches.sh. google-benchmark binary.
 #include <benchmark/benchmark.h>
 
 #include "common/clmul.hpp"
 #include "common/rng.hpp"
-#include "hetero/kernels.hpp"
 #include "privacy/toeplitz.hpp"
 
 namespace {
@@ -65,27 +62,6 @@ void BM_ToeplitzNtt(benchmark::State& state) {
                           static_cast<std::int64_t>(c.input.size() / 8));
 }
 
-void BM_ToeplitzGpuSimModeledSeconds(benchmark::State& state) {
-  // Reports the *modeled* device seconds per hash as a counter (wall time
-  // of this benchmark is the host-side correctness execution).
-  const auto c = make_case(static_cast<std::size_t>(state.range(0)));
-  ThreadPool pool(2);
-  hetero::Device gpu(hetero::gpu_sim_props(), &pool);
-  double modeled = 0;
-  std::int64_t hashes = 0;
-  for (auto _ : state) {
-    BitVec out;
-    modeled += hetero::timed_toeplitz(gpu, c.input, c.seed, c.out_len, out);
-    benchmark::DoNotOptimize(out);
-    ++hashes;
-  }
-  state.counters["modeled_s_per_hash"] =
-      benchmark::Counter(modeled / static_cast<double>(hashes));
-  state.counters["modeled_Mbps"] = benchmark::Counter(
-      static_cast<double>(c.input.size()) * static_cast<double>(hashes) /
-      modeled / 1e6);
-}
-
 }  // namespace
 
 // Max input is 2^21: with out_len = n/2 the convolution length 2.5n must
@@ -97,9 +73,5 @@ BENCHMARK(BM_ToeplitzClmul)->RangeMultiplier(4)->Range(1 << 8, 1 << 21)
     ->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ToeplitzNtt)->RangeMultiplier(4)->Range(1 << 12, 1 << 21)
     ->Arg(100000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ToeplitzGpuSimModeledSeconds)
-    ->RangeMultiplier(16)
-    ->Range(1 << 14, 1 << 20)
-    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -6,7 +6,8 @@
 //   $ ./examples/hetero_offload
 //
 // CPU columns are priced with the same analytic model the simulated
-// accelerators use (see DESIGN.md hardware substitution); at run time CPU
+// accelerators use, so every column of the matrix is comparable even on a
+// host without accelerators; at run time CPU
 // stages charge measured wall-clock while gpu-sim/fpga-sim charge modeled
 // time - the key bits are identical on every placement.
 #include <cstdio>

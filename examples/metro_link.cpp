@@ -56,6 +56,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\nCascade leaks less (lower f_EC -> higher SKR) but costs "
               "hundreds of round-trips; LDPC is one-way. See "
-              "bench_cascade/bench_pipeline_e2e for the full trade-off.\n");
+              "bench_pipeline_e2e for the full trade-off.\n");
   return 0;
 }

@@ -196,8 +196,7 @@ def main():
     reconcile_gate = (current_doc.get("reconcile") or {}).get("gate") or {}
     if reconcile_gate and not reconcile_gate.get("ok", True):
         failures.append("bench_reconcile gate ok=false (batched decoder "
-                        "below the 10 km throughput floor or slower than "
-                        "the legacy arm)")
+                        "below the 10 km throughput floor)")
 
     scenarios = current_doc.get("scenarios") or {}
     if scenarios and not scenarios.get("gate_ok", True):

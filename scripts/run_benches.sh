@@ -50,9 +50,8 @@ esac
 
 echo "== bench_reconcile =="
 # Self-gates: the batched int8 decoder must clear 5x the pre-batching
-# reconcile throughput at 10 km and must not lose reconcile or e2e time to
-# the legacy float arm at any completed distance; a violation exits
-# non-zero and fails here.
+# reconcile throughput at 10 km; a violation exits non-zero and fails
+# here.
 "$BUILD"/bench_reconcile > "$BUILD"/bench_reconcile.out
 cat "$BUILD"/bench_reconcile.out
 RECONCILE_JSON=$(tail -n 1 "$BUILD"/bench_reconcile.out)

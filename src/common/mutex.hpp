@@ -18,7 +18,7 @@
 //      a deterministic failure on ANY execution of the out-of-order pair.
 //
 // Rank convention: ranks grow outward. The innermost lock in the tree (the
-// log sink, legal to take under anything) is rank 0; the outermost (the
+// LDPC code cache, a leaf) has the lowest rank; the outermost (the
 // orchestrator run gate) is highest. A thread holding rank R may only
 // acquire ranks strictly below R. See README "Static analysis & concurrency
 // invariants" for the full table and the nesting chains that fix the order.
@@ -35,15 +35,13 @@ namespace qkdpp {
 /// Global lock hierarchy, innermost (lowest) to outermost (highest).
 /// Gaps between values leave room for new locks without renumbering.
 enum class LockRank : int {
-  kLog = 0,           // log sink - legal under any other lock
   kCodeCache = 10,    // LDPC code cache (leaf; PEG runs outside the lock)
   kAuthPool = 12,     // auth key pool (leaf)
   kChannel = 15,      // in-process classical channel endpoints (leaf)
-  kStreamFailure = 18,// stream-pipeline failure slot (leaf)
   kPoolIdle = 20,     // thread-pool idle cv, under a queue lock's scope
   kPoolQueue = 25,    // thread-pool per-worker deques (never two at once)
   kDevice = 30,       // device accounting (taken after the kernel body)
-  kTrace = 35,        // execution trace + stage cost model (leaves)
+  kTrace = 35,        // stage cost model (leaf)
   kDeviceSet = 40,    // committed-load ledger, under the engine plan lock
   kEnginePlan = 45,   // engine placement/plan state
   kStoreLedger = 50,  // KeyStore drawn-key ledger

@@ -1,8 +1,8 @@
 // The five stage executors. Each wraps its real computation in a
-// Device::execute body and reports a WorkEstimate; the cost constants come
-// from hetero/kernels.hpp so the mapper and the kernels price work the same
-// way. Computation is host-side and bit-exact on every device kind - only
-// the charged time differs.
+// Device::execute body and reports a WorkEstimate; work_model() and run()
+// price work with the same cost constants, so the mapper's matrix and the
+// charged time agree. Computation is host-side and bit-exact on every
+// device kind - only the charged time differs.
 #include "engine/stage.hpp"
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "hetero/kernels.hpp"
 #include "privacy/verification.hpp"
 #include "protocol/param_estimation.hpp"
 #include "reconcile/ldpc_code.hpp"
@@ -26,6 +25,12 @@ using hetero::WorkEstimate;
 bool is_cpu(DeviceKind kind) noexcept {
   return kind == DeviceKind::kCpuScalar || kind == DeviceKind::kCpuParallel;
 }
+
+/// Device cost model constants (documented knobs, not magic).
+constexpr double kOpsPerEdge = 12.0;       ///< BP var+check update per edge
+constexpr double kBytesPerEdge = 10.0;     ///< BP message traffic per edge
+constexpr double kOpsPerButterfly = 10.0;  ///< NTT butterfly incl. mulmod
+constexpr double kOpsPerGfMul = 220.0;     ///< software GF(2^128) multiply
 
 /// Nominal LDPC framing for the cost model: the production frame is
 /// n = 16384 at rate ~0.75, so one frame carries ~12k payload bits.
@@ -168,8 +173,8 @@ class ReconcileExecutor final : public StageExecutor {
         device_kind == DeviceKind::kFpgaSim
             ? static_cast<double>(params_->ldpc.decoder.max_iterations)
             : kModelTypicalIterations;
-    estimate.ops = frames * iterations * edges * hetero::kOpsPerEdge;
-    estimate.bytes_touched = frames * iterations * edges * hetero::kBytesPerEdge;
+    estimate.ops = frames * iterations * edges * kOpsPerEdge;
+    estimate.bytes_touched = frames * iterations * edges * kBytesPerEdge;
     estimate.bytes_transferred =
         frames * (kModelFrameBits * 4.0 + kModelFrameBits / 4.0);
     return estimate;
@@ -209,8 +214,8 @@ class ReconcileExecutor final : public StageExecutor {
                      static_cast<double>(ctx.params->ldpc.decoder.max_iterations);
       }
       const double edges = kModelFrameBits * kModelEdgesPerBit;
-      estimate.ops = iterations * edges * hetero::kOpsPerEdge;
-      estimate.bytes_touched = iterations * edges * hetero::kBytesPerEdge;
+      estimate.ops = iterations * edges * kOpsPerEdge;
+      estimate.bytes_touched = iterations * edges * kBytesPerEdge;
       estimate.bytes_transferred =
           frames_run * (kModelFrameBits * 4.0 + kModelFrameBits / 4.0);
       return estimate;
@@ -220,93 +225,46 @@ class ReconcileExecutor final : public StageExecutor {
  private:
   void run_ldpc(BlockState& state, const ExecutionContext& ctx, double qber,
                 double& iterations, double& frames_run) const {
-    const bool quantized = ctx.params->ldpc.decoder.quantized;
     reconcile::FramePlan plan;
     try {
       // The batched planner prefers codes that cut the key into enough
-      // frames to fill the lockstep decoder's lanes; the legacy float path
-      // wants the largest fitting frame.
-      plan = quantized
-                 ? reconcile::plan_frame_batched(
-                       state.alice_key.size(), qber, ctx.params->ldpc.f_target,
-                       ctx.params->ldpc.adapt_fraction,
-                       ctx.params->ldpc.batch_target_frames)
-                 : reconcile::plan_frame_fitting(
-                       state.alice_key.size(), qber, ctx.params->ldpc.f_target,
-                       ctx.params->ldpc.adapt_fraction);
+      // frames to fill the lockstep decoder's lanes.
+      plan = reconcile::plan_frame_batched(
+          state.alice_key.size(), qber, ctx.params->ldpc.f_target,
+          ctx.params->ldpc.adapt_fraction,
+          ctx.params->ldpc.batch_target_frames);
     } catch (const Error&) {
       state.outcome.abort_reason = "key shorter than one reconciliation frame";
       return;
     }
     reconcile::LdpcReconcilerConfig effective = ctx.params->ldpc;
-    effective.decoder.pool = ctx.pool;
     effective.decoder.arena = ctx.arena;
     const std::size_t frames = state.alice_key.size() / plan.payload_bits;
     // Reserve the reconciled accumulators once so the per-frame append()s
     // never reallocate mid-block.
     state.alice_reconciled.reserve(frames * plan.payload_bits);
     state.bob_reconciled.reserve(frames * plan.payload_bits);
-
-    if (quantized) {
-      // A failed attempt costs its full iteration budget across every live
-      // lane, and the blind loop gets another shot after each reveal - so
-      // cap attempts short. Measured against the 60-iteration cap this
-      // cuts wall time 2-3x at the low-QBER operating points with the same
-      // (occasionally lower) final leak.
-      effective.decoder.max_iterations =
-          std::min(effective.decoder.max_iterations, kBatchIterationCap);
-      std::vector<std::uint64_t> seeds(frames);
-      for (std::size_t f = 0; f < frames; ++f) {
-        seeds[f] = (state.block_id << 20) ^ (f * 0x9e3779b97f4a7c15ULL);
-      }
-      const auto stats = reconcile::ldpc_reconcile_key_batch(
-          state.alice_key, state.bob_key, qber, plan, seeds, effective,
-          *ctx.rng, ctx.arena, state.alice_reconciled, state.bob_reconciled);
-      ctx.ledger->ec_bits += stats.leaked_bits;
-      state.outcome.reconcile_rounds += stats.rounds;
-      state.outcome.reconcile_frames += stats.frames;
-      state.outcome.decoder_iterations += stats.iterations;
-      state.outcome.reconcile_early_exit_frames += stats.early_exit_frames;
-      iterations = static_cast<double>(stats.iterations);
-      frames_run = static_cast<double>(stats.frames);
-      return;
-    }
-
-    // Payload scratch borrowed from the block arena (heap fallback when a
-    // bare executor runs without one): subvec_into reuses the capacity, so
-    // the per-frame loop allocates nothing after the first frame.
-    BitVec local_alice;
-    BitVec local_bob;
-    BitVec& alice_payload =
-        ctx.arena ? ctx.arena->scratch_bits() : local_alice;
-    BitVec& bob_payload = ctx.arena ? ctx.arena->scratch_bits() : local_bob;
+    // A failed attempt costs its full iteration budget across every live
+    // lane, and the blind loop gets another shot after each reveal - so cap
+    // attempts short. Measured against the 60-iteration cap this cuts wall
+    // time 2-3x at the low-QBER operating points with the same
+    // (occasionally lower) final leak.
+    effective.decoder.max_iterations =
+        std::min(effective.decoder.max_iterations, kBatchIterationCap);
+    std::vector<std::uint64_t> seeds(frames);
     for (std::size_t f = 0; f < frames; ++f) {
-      state.alice_key.subvec_into(f * plan.payload_bits, plan.payload_bits,
-                                  alice_payload);
-      state.bob_key.subvec_into(f * plan.payload_bits, plan.payload_bits,
-                                bob_payload);
-      const std::uint64_t frame_seed =
-          (state.block_id << 20) ^ (f * 0x9e3779b97f4a7c15ULL);
-      const auto result = reconcile::ldpc_reconcile_local(
-          alice_payload, bob_payload, qber, plan, frame_seed, effective,
-          *ctx.rng);
-      ctx.ledger->ec_bits += result.leaked_bits;
-      state.outcome.reconcile_rounds += result.rounds;
-      state.outcome.reconcile_frames += 1;
-      state.outcome.decoder_iterations += result.decoder_iterations;
-      iterations += result.decoder_iterations;
-      frames_run += 1.0;
-      if (!result.success) {
-        // Frame lost: skip it (its leakage still counts - Eve heard it).
-        continue;
-      }
-      state.outcome.reconcile_early_exit_frames +=
-          result.decoder_iterations <
-          static_cast<unsigned>(effective.decoder.max_iterations) *
-              (result.blind_rounds + 1);
-      state.alice_reconciled.append(alice_payload);
-      state.bob_reconciled.append(result.corrected);
+      seeds[f] = (state.block_id << 20) ^ (f * 0x9e3779b97f4a7c15ULL);
     }
+    const auto stats = reconcile::ldpc_reconcile_key_batch(
+        state.alice_key, state.bob_key, qber, plan, seeds, effective, *ctx.rng,
+        ctx.arena, state.alice_reconciled, state.bob_reconciled);
+    ctx.ledger->ec_bits += stats.leaked_bits;
+    state.outcome.reconcile_rounds += stats.rounds;
+    state.outcome.reconcile_frames += stats.frames;
+    state.outcome.decoder_iterations += stats.iterations;
+    state.outcome.reconcile_early_exit_frames += stats.early_exit_frames;
+    iterations = static_cast<double>(stats.iterations);
+    frames_run = static_cast<double>(stats.frames);
   }
 
   void run_cascade(BlockState& state, const ExecutionContext& ctx,
@@ -345,7 +303,7 @@ class VerifyExecutor final : public StageExecutor {
     WorkEstimate estimate;
     const double bytes = static_cast<double>(workload.key_bits) / 8.0;
     const double blocks = bytes / 16.0 + 1.0;
-    estimate.ops = 2.0 * blocks * hetero::kOpsPerGfMul;  // both endpoints' tags
+    estimate.ops = 2.0 * blocks * kOpsPerGfMul;  // both endpoints' tags
     estimate.bytes_touched = 2.0 * bytes;
     estimate.bytes_transferred = bytes + 32.0;
     return estimate;
@@ -384,7 +342,7 @@ class AmplifyExecutor final : public StageExecutor {
     const double conv_len = 2.0 * static_cast<double>(workload.key_bits);
     const double n_fft =
         std::pow(2.0, std::ceil(std::log2(std::max(2.0, conv_len))));
-    estimate.ops = 3.0 * n_fft * std::log2(n_fft) * hetero::kOpsPerButterfly;
+    estimate.ops = 3.0 * n_fft * std::log2(n_fft) * kOpsPerButterfly;
     estimate.bytes_touched = 3.0 * n_fft * 4.0 * std::log2(n_fft);
     estimate.bytes_transferred =
         static_cast<double>(workload.key_bits) / 4.0;

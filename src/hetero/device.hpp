@@ -13,10 +13,11 @@
 //                 plus pipeline fill latency, insensitive to iteration
 //                 counts (the FPGA runs worst-case iterations in hardware).
 //
-// This is the documented substitution for CUDA/FPGA hardware that the
-// evaluation machine does not have (DESIGN.md section 1): scheduling
-// decisions, batching effects and transfer accounting are driven by the
-// same quantities that govern the real devices.
+// The sims stand in for CUDA/FPGA hardware so that placement can be studied
+// on hosts without accelerators: scheduling decisions, batching effects and
+// transfer accounting are driven by the same quantities that govern the
+// real devices, while the keys stay bit-exact because the arithmetic runs
+// on the host.
 #pragma once
 
 #include <atomic>
@@ -105,7 +106,9 @@ class Device {
 
 /// Standard device set used by benches and examples. The GPU/FPGA property
 /// sheets approximate a mid-range discrete accelerator and a deep-pipelined
-/// decoder core; see EXPERIMENTS.md for the calibration discussion.
+/// decoder core with datasheet-scale figures (throughput, memory bandwidth,
+/// PCIe rate and latency); they are not calibrated against a particular
+/// card, so modeled times rank placements rather than predict wall time.
 DeviceProps cpu_scalar_props();
 DeviceProps cpu_parallel_props(std::size_t threads);
 DeviceProps gpu_sim_props();

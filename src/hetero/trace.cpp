@@ -4,55 +4,6 @@
 
 namespace qkdpp::hetero {
 
-void ExecutionTrace::record(std::string stage, std::string device,
-                            std::uint64_t item, double start_offset_s,
-                            double charged_s) {
-  TraceEvent event;
-  event.stage = std::move(stage);
-  event.device = std::move(device);
-  event.item = item;
-  event.start_s = start_offset_s;
-  event.end_s = epoch_.seconds();
-  event.charged_s = charged_s;
-  MutexLock lock(mutex_);
-  events_.push_back(std::move(event));
-}
-
-std::size_t ExecutionTrace::size() const {
-  MutexLock lock(mutex_);
-  return events_.size();
-}
-
-std::vector<TraceEvent> ExecutionTrace::events() const {
-  MutexLock lock(mutex_);
-  return events_;
-}
-
-void ExecutionTrace::write_csv(std::ostream& out) const {
-  out << "stage,device,item,start_s,end_s,charged_s\n";
-  MutexLock lock(mutex_);
-  for (const auto& event : events_) {
-    out << event.stage << ',' << event.device << ',' << event.item << ','
-        << event.start_s << ',' << event.end_s << ',' << event.charged_s
-        << '\n';
-  }
-}
-
-double ExecutionTrace::device_occupancy(const std::string& device) const {
-  MutexLock lock(mutex_);
-  if (events_.empty()) return 0.0;
-  double busy = 0.0;
-  double span_end = 0.0;
-  double span_start = events_.front().start_s;
-  for (const auto& event : events_) {
-    span_start = std::min(span_start, event.start_s);
-    span_end = std::max(span_end, event.end_s);
-    if (event.device == device) busy += event.end_s - event.start_s;
-  }
-  const double span = span_end - span_start;
-  return span > 0 ? std::min(1.0, busy / span) : 0.0;
-}
-
 StageCostModel::StageCostModel(std::size_t stages, double alpha)
     : stage_count_(stages),
       alpha_(std::clamp(alpha, 1e-3, 1.0)),

@@ -1,56 +1,14 @@
-// Execution trace: per-item, per-stage timing events from a streaming
-// pipeline run, exportable as CSV for offline visualization (Gantt-style
-// occupancy plots are how heterogeneous-pipeline papers show overlap).
-// Thread-safe; attach one to a StreamPipeline stage's work lambda.
+// Stage cost feedback: observed stage executions folded back into the
+// mapper's cost model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "common/stats.hpp"
 
 namespace qkdpp::hetero {
-
-struct TraceEvent {
-  std::string stage;
-  std::string device;
-  std::uint64_t item = 0;
-  double start_s = 0.0;    ///< seconds since trace epoch
-  double end_s = 0.0;      ///< wall-clock end
-  double charged_s = 0.0;  ///< device-charged (modeled) duration
-};
-
-class ExecutionTrace {
- public:
-  ExecutionTrace() : epoch_() {}
-
-  /// Record one completed unit of work. `start_offset_s` is the wall start
-  /// relative to the trace epoch (use stamp() before the work runs).
-  void record(std::string stage, std::string device, std::uint64_t item,
-              double start_offset_s, double charged_s);
-
-  /// Seconds since this trace was constructed (for stamping starts).
-  double stamp() const noexcept { return epoch_.seconds(); }
-
-  std::size_t size() const;
-  std::vector<TraceEvent> events() const;
-
-  /// CSV: stage,device,item,start_s,end_s,charged_s (header included).
-  void write_csv(std::ostream& out) const;
-
-  /// Wall-clock busy fraction of a device over the traced interval
-  /// (sum of its event durations / trace span). Returns 0 for an unknown
-  /// device or an empty trace.
-  double device_occupancy(const std::string& device) const;
-
- private:
-  mutable Mutex mutex_{LockRank::kTrace, "trace.events"};
-  Stopwatch epoch_;
-  std::vector<TraceEvent> events_ QKD_GUARDED_BY(mutex_);
-};
 
 /// EWMA feedback from observed stage executions into the mapper's cost
 /// model. The mapper prices stages from WorkEstimate models; reality
@@ -60,7 +18,7 @@ class ExecutionTrace {
 /// exponentially weighted ratio observed/predicted is the per-stage
 /// correction replan() multiplies into every device's modeled cost - the
 /// standard assumption that mispricing is workload-scale, not
-/// device-specific. Thread-safe, like ExecutionTrace.
+/// device-specific. Thread-safe.
 class StageCostModel {
  public:
   /// `alpha` is the EWMA weight of the newest sample (0 < alpha <= 1).

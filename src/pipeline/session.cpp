@@ -392,6 +392,14 @@ SessionResult run_bob_session(ClassicalChannel& channel,
     result.key_candidate_bits = key.size();
 
     // --- reconciliation -----------------------------------------------------
+    // The hint comes off the wire and sizes the LLRs or Cascade blocks: a
+    // NaN or out-of-range value would reach a float-to-int cast.
+    const auto peer_qber_hint = [](double hint) {
+      if (!(hint >= 0.0 && hint < 0.5)) {
+        throw_error(ErrorCode::kProtocol, "qber hint out of range");
+      }
+      return engine::qber_floor(hint);
+    };
     BitVec reconciled;
     const auto first_start = expect_msg<ReconcileStart>(channel);
     if (first_start.method == ReconcileMethod::kLdpc) {
@@ -400,6 +408,11 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       plan.n_punctured = first_start.n_punctured;
       plan.n_shortened = first_start.n_shortened;
       const reconcile::LdpcCode& code = reconcile::code_by_id(plan.code_id);
+      // The frame shape comes off the wire: a plan that leaves no payload
+      // would divide by zero below.
+      if (std::uint64_t{plan.n_punctured} + plan.n_shortened >= code.n()) {
+        throw_error(ErrorCode::kProtocol, "frame plan leaves no payload");
+      }
       plan.payload_bits = code.n() - plan.n_punctured - plan.n_shortened;
       const std::size_t frames = key.size() / plan.payload_bits;
       if (frames == 0) {
@@ -409,17 +422,29 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       ReconcileStart start = first_start;
       for (std::size_t f = 0; f < frames; ++f) {
         if (f > 0) start = expect_msg<ReconcileStart>(channel);
+        if (start.syndrome.size() != code.m()) {
+          throw_error(ErrorCode::kProtocol, "syndrome length mismatch");
+        }
         const BitVec payload =
             key.subvec(f * plan.payload_bits, plan.payload_bits);
         reconcile::LdpcFrameReceiver receiver(
             plan, payload, start.perm_seed,
-            engine::qber_floor(start.qber_hint), config.ldpc.decoder);
+            peer_qber_hint(start.qber_hint), config.ldpc.decoder);
         auto attempt = receiver.try_decode(start.syndrome);
         unsigned round = 0;
         while (!attempt.converged && round < config.ldpc.max_blind_rounds) {
           ++round;
           send_msg(channel, BlindRequest{block_id, round});
           const auto blind = expect_msg<BlindResponse>(channel);
+          if (blind.positions.size() != blind.values.size()) {
+            throw_error(ErrorCode::kProtocol, "blind response shape mismatch");
+          }
+          for (const auto p : blind.positions) {
+            if (p >= code.n()) {
+              throw_error(ErrorCode::kProtocol,
+                          "blind position out of range");
+            }
+          }
           result.leak_ec_bits += blind.positions.size();
           if (blind.positions.empty()) break;  // nothing left to reveal
           receiver.apply_reveal(blind.positions, blind.values);
@@ -433,7 +458,7 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       // Cascade: Bob drives, Alice serves parities.
       RemoteParityOracle oracle(channel, block_id);
       reconcile::CascadeConfig cascade = config.cascade;
-      cascade.qber_hint = engine::qber_floor(first_start.qber_hint);
+      cascade.qber_hint = peer_qber_hint(first_start.qber_hint);
       cascade.seed = first_start.perm_seed;
       BitVec corrected = key;
       const auto cascade_result =

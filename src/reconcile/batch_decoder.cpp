@@ -19,7 +19,7 @@ std::int8_t quantize_llr(float llr) noexcept {
 namespace {
 
 /// Normalization alpha = 26/32 = 0.8125, the nearest 5-bit fixed point to
-/// the float decoder's 0.8. One multiply + shift per message.
+/// the textbook 0.8. One multiply + shift per message.
 constexpr int kAlphaNumerator = 26;
 constexpr int kAlphaShift = 5;
 
@@ -210,7 +210,7 @@ void decode_batch_impl(const LdpcCode& code,
     }
   }
   // Frames that never converged ran the full iteration budget; report the
-  // final hard decision like the float decoder does.
+  // final hard decision.
   for (std::size_t f = 0; f < batch; ++f) {
     if ((unresolved >> f) & 1u) {
       results[f].iterations = config.max_iterations;
@@ -250,8 +250,8 @@ void decode_syndrome_batch(const LdpcCode& code,
       acquire_batch_buffers(config, code.n(), code.m(), code.edges(), lanes);
 
   // Compressed adjacency, shared by every lane: check-major var indices
-  // narrowed to 16 bits (half the index bandwidth of the CSR the float
-  // decoder walks).
+  // narrowed to 16 bits (half the index bandwidth of the code's 32-bit
+  // CSR).
   std::size_t edge = 0;
   for (std::size_t c = 0; c < code.m(); ++c) {
     QKDPP_REQUIRE(code.check_vars(c).size() <= 64,

@@ -65,8 +65,8 @@ void decode_syndrome_batch(const LdpcCode& code,
                            const DecoderConfig& config,
                            std::vector<DecodeResult>& results);
 
-/// Single-frame facade over the same quantized kernel (a one-job batch;
-/// bit-identical to the frame's result inside any batch).
+/// Decode one frame: the single-frame entry point, a one-job batch of the
+/// same kernel (bit-identical to the frame's result inside any batch).
 DecodeResult decode_syndrome_quant(const LdpcCode& code, const BitVec& syndrome,
                                    const std::vector<float>& llr,
                                    const DecoderConfig& config);

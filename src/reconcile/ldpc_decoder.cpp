@@ -2,286 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-
-#include "common/arena.hpp"
-#include "common/error.hpp"
 
 namespace qkdpp::reconcile {
 
 float bsc_llr(double qber) noexcept {
   const double q = std::clamp(qber, 1e-9, 0.5 - 1e-9);
   return static_cast<float>(std::log((1.0 - q) / q));
-}
-
-namespace {
-
-inline float clamp_llr(float x) noexcept {
-  return std::clamp(x, -kKnownLlr, kKnownLlr);
-}
-
-/// tanh-domain check update guard: atanh saturates fast, so keep the
-/// product away from +-1.
-inline float safe_atanh(float x) noexcept {
-  constexpr float kLimit = 0.9999999f;
-  return std::atanh(std::clamp(x, -kLimit, kLimit));
-}
-
-/// Word-parallel sign take: build each 64-bit word in a register instead of
-/// a read-modify-write per bit. Keeps the exact `< 0` semantics (so -0.0 and
-/// NaN posteriors decide 0, same as the scalar reference).
-void hard_decision(const float* posterior, std::size_t n, BitVec& word) {
-  word.resize(n);
-  auto words = word.mutable_words();
-  for (std::size_t base = 0; base < n; base += 64) {
-    const std::size_t lim = std::min<std::size_t>(64, n - base);
-    std::uint64_t acc = 0;
-    for (std::size_t k = 0; k < lim; ++k) {
-      acc |= std::uint64_t{posterior[base + k] < 0.0f} << k;
-    }
-    words[base >> 6] = acc;
-  }
-}
-
-/// Per-thread decoder workspace: message/posterior buffers sized by the
-/// largest code decoded on this thread, reused across frames so the
-/// per-frame cost is an assign() into existing capacity instead of three
-/// heap allocations. Only the fallback when no arena is supplied.
-struct DecoderScratch {
-  std::vector<float> r;          // check -> var
-  std::vector<float> q;          // var -> check
-  std::vector<float> posterior;
-};
-
-DecoderScratch& tls_scratch() {
-  thread_local DecoderScratch scratch;
-  return scratch;
-}
-
-/// Uninitialized float buffers for one decode: bump-allocated from the
-/// block arena when the caller supplies one (freed wholesale at the block
-/// boundary), thread-local vectors otherwise.
-struct FloatBuffers {
-  float* r = nullptr;          // check -> var, `edges` entries
-  float* q = nullptr;          // var -> check, `edges` entries (flooding)
-  float* posterior = nullptr;  // `n` entries
-};
-
-FloatBuffers acquire_float_buffers(const DecoderConfig& config, std::size_t n,
-                                   std::size_t edges, bool need_q) {
-  FloatBuffers buf;
-  if (config.arena != nullptr) {
-    buf.r = reinterpret_cast<float*>(config.arena->bytes(edges * sizeof(float)));
-    if (need_q) {
-      buf.q =
-          reinterpret_cast<float*>(config.arena->bytes(edges * sizeof(float)));
-    }
-    buf.posterior =
-        reinterpret_cast<float*>(config.arena->bytes(n * sizeof(float)));
-    return buf;
-  }
-  DecoderScratch& scratch = tls_scratch();
-  scratch.r.resize(edges);
-  scratch.posterior.resize(n);
-  buf.r = scratch.r.data();
-  buf.posterior = scratch.posterior.data();
-  if (need_q) {
-    scratch.q.resize(edges);
-    buf.q = scratch.q.data();
-  }
-  return buf;
-}
-
-/// Flooding-schedule decoder. Per-edge messages in check-major order; var
-/// and check updates are embarrassingly parallel and optionally run on the
-/// pool - this is the code path the accelerator backends model.
-DecodeResult decode_flooding(const LdpcCode& code, const BitVec& syndrome,
-                             const std::vector<float>& llr,
-                             const DecoderConfig& config) {
-  const std::size_t n = code.n();
-  const std::size_t m = code.m();
-  const std::size_t edges = code.edges();
-  const FloatBuffers buf =
-      acquire_float_buffers(config, n, edges, /*need_q=*/true);
-  float* const r = buf.r;          // check -> var
-  float* const q = buf.q;          // var -> check
-  float* const posterior = buf.posterior;
-  std::memset(r, 0, edges * sizeof(float));
-  std::memset(q, 0, edges * sizeof(float));
-
-  auto var_update = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t v = lo; v < hi; ++v) {
-      float total = llr[v];
-      for (const auto e : code.var_edges(v)) total += r[e];
-      posterior[v] = total;
-      for (const auto e : code.var_edges(v)) q[e] = clamp_llr(total - r[e]);
-    }
-  };
-
-  auto check_update = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      const auto vars = code.check_vars(c);
-      const std::uint32_t base = code.check_edge_begin(c);
-      const float target = syndrome.get(c) ? -1.0f : 1.0f;
-      if (config.algorithm == BpAlgorithm::kMinSum) {
-        // Two-minimum trick.
-        float min1 = kKnownLlr, min2 = kKnownLlr;
-        std::size_t argmin = 0;
-        float sign = target;
-        for (std::size_t i = 0; i < vars.size(); ++i) {
-          const float x = q[base + i];
-          if (x < 0) sign = -sign;
-          const float mag = std::fabs(x);
-          if (mag < min1) {
-            min2 = min1;
-            min1 = mag;
-            argmin = i;
-          } else if (mag < min2) {
-            min2 = mag;
-          }
-        }
-        for (std::size_t i = 0; i < vars.size(); ++i) {
-          const float x = q[base + i];
-          const float self_sign = x < 0 ? -1.0f : 1.0f;
-          const float mag = (i == argmin) ? min2 : min1;
-          r[base + i] = config.min_sum_scale * sign * self_sign * mag;
-        }
-      } else {
-        // Sum-product with prefix/suffix tanh products (exclusion without
-        // division).
-        const std::size_t deg = vars.size();
-        float prefix[64];
-        QKDPP_REQUIRE(deg <= 64, "check degree exceeds kernel buffer");
-        float acc = 1.0f;
-        for (std::size_t i = 0; i < deg; ++i) {
-          prefix[i] = acc;
-          acc *= std::tanh(0.5f * q[base + i]);
-        }
-        float suffix = 1.0f;
-        for (std::size_t i = deg; i-- > 0;) {
-          r[base + i] = 2.0f * safe_atanh(target * prefix[i] * suffix);
-          suffix *= std::tanh(0.5f * q[base + i]);
-        }
-      }
-    }
-  };
-
-  auto posterior_update = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t v = lo; v < hi; ++v) {
-      float total = llr[v];
-      for (const auto e : code.var_edges(v)) total += r[e];
-      posterior[v] = total;
-    }
-  };
-
-  DecodeResult result;
-  for (unsigned iter = 1; iter <= config.max_iterations; ++iter) {
-    result.iterations = iter;
-    if (config.pool != nullptr) {
-      config.pool->parallel_for(0, n, 2048, var_update);
-      config.pool->parallel_for(0, m, 1024, check_update);
-      config.pool->parallel_for(0, n, 2048, posterior_update);
-    } else {
-      var_update(0, n);
-      check_update(0, m);
-      posterior_update(0, n);
-    }
-    hard_decision(posterior, n, result.word);
-    if (code.syndrome_matches(result.word, syndrome)) {
-      result.converged = true;
-      return result;
-    }
-  }
-  return result;
-}
-
-/// Layered-schedule decoder: checks are processed sequentially against a
-/// live posterior, roughly halving the iterations to convergence.
-DecodeResult decode_layered(const LdpcCode& code, const BitVec& syndrome,
-                            const std::vector<float>& llr,
-                            const DecoderConfig& config) {
-  const std::size_t n = code.n();
-  const std::size_t m = code.m();
-  const FloatBuffers buf =
-      acquire_float_buffers(config, n, code.edges(), /*need_q=*/false);
-  float* const r = buf.r;
-  float* const posterior = buf.posterior;
-  std::memset(r, 0, code.edges() * sizeof(float));
-  std::memcpy(posterior, llr.data(), n * sizeof(float));
-
-  DecodeResult result;
-  for (unsigned iter = 1; iter <= config.max_iterations; ++iter) {
-    result.iterations = iter;
-    for (std::size_t c = 0; c < m; ++c) {
-      const auto vars = code.check_vars(c);
-      const std::size_t deg = vars.size();
-      const std::uint32_t base = code.check_edge_begin(c);
-      const float target = syndrome.get(c) ? -1.0f : 1.0f;
-      float q_local[64];
-      QKDPP_REQUIRE(deg <= 64, "check degree exceeds kernel buffer");
-      for (std::size_t i = 0; i < deg; ++i) {
-        q_local[i] = clamp_llr(posterior[vars[i]] - r[base + i]);
-      }
-      if (config.algorithm == BpAlgorithm::kMinSum) {
-        float min1 = kKnownLlr, min2 = kKnownLlr;
-        std::size_t argmin = 0;
-        float sign = target;
-        for (std::size_t i = 0; i < deg; ++i) {
-          if (q_local[i] < 0) sign = -sign;
-          const float mag = std::fabs(q_local[i]);
-          if (mag < min1) {
-            min2 = min1;
-            min1 = mag;
-            argmin = i;
-          } else if (mag < min2) {
-            min2 = mag;
-          }
-        }
-        for (std::size_t i = 0; i < deg; ++i) {
-          const float self_sign = q_local[i] < 0 ? -1.0f : 1.0f;
-          const float mag = (i == argmin) ? min2 : min1;
-          const float updated = config.min_sum_scale * sign * self_sign * mag;
-          posterior[vars[i]] = q_local[i] + updated;
-          r[base + i] = updated;
-        }
-      } else {
-        float prefix[64];
-        float acc = 1.0f;
-        for (std::size_t i = 0; i < deg; ++i) {
-          prefix[i] = acc;
-          acc *= std::tanh(0.5f * q_local[i]);
-        }
-        float suffix = 1.0f;
-        for (std::size_t i = deg; i-- > 0;) {
-          const float updated =
-              2.0f * safe_atanh(target * prefix[i] * suffix);
-          suffix *= std::tanh(0.5f * q_local[i]);
-          posterior[vars[i]] = q_local[i] + updated;
-          r[base + i] = updated;
-        }
-      }
-    }
-    hard_decision(posterior, n, result.word);
-    if (code.syndrome_matches(result.word, syndrome)) {
-      result.converged = true;
-      return result;
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-DecodeResult decode_syndrome(const LdpcCode& code, const BitVec& syndrome,
-                             const std::vector<float>& llr,
-                             const DecoderConfig& config) {
-  QKDPP_REQUIRE(llr.size() == code.n(), "LLR length mismatch");
-  QKDPP_REQUIRE(syndrome.size() == code.m(), "syndrome length mismatch");
-  QKDPP_REQUIRE(config.max_iterations >= 1, "need at least one iteration");
-  if (config.schedule == BpSchedule::kFlooding) {
-    return decode_flooding(code, syndrome, llr, config);
-  }
-  return decode_layered(code, syndrome, llr, config);
 }
 
 }  // namespace qkdpp::reconcile

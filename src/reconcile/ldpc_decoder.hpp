@@ -1,19 +1,13 @@
-// Belief-propagation decoding to a target syndrome.
+// Belief-propagation decoding to a target syndrome: the shared types.
 //
 // QKD reconciliation decodes Alice's word x_A given Bob's noisy copy: the
 // decoder receives per-position LLRs (sign = Bob's bit, magnitude =
 // channel confidence; 0 for punctured, +/-inf-like for shortened/revealed)
-// and Alice's syndrome s_A, and searches for x with H x = s_A. Four decoder
-// variants cover the ablation grid: {normalized min-sum, sum-product} x
-// {flooding, layered}. Flooding exposes the data parallelism accelerators
-// exploit; layered converges in roughly half the iterations.
+// and Alice's syndrome s_A, and searches for x with H x = s_A. The decoder
+// itself is the int8 layered min-sum kernel in batch_decoder.hpp.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "common/bitvec.hpp"
-#include "common/threadpool.hpp"
 #include "reconcile/ldpc_code.hpp"
 
 namespace qkdpp {
@@ -22,22 +16,8 @@ class BlockArena;
 
 namespace qkdpp::reconcile {
 
-enum class BpAlgorithm : std::uint8_t { kMinSum = 0, kSumProduct = 1 };
-enum class BpSchedule : std::uint8_t { kFlooding = 0, kLayered = 1 };
-
 struct DecoderConfig {
-  BpAlgorithm algorithm = BpAlgorithm::kMinSum;
-  BpSchedule schedule = BpSchedule::kLayered;
   unsigned max_iterations = 60;
-  float min_sum_scale = 0.8f;  ///< normalization factor alpha
-  /// Use the int8-quantized layered min-sum kernel (batch_decoder.hpp)
-  /// instead of the float reference decoder. decode_syndrome() itself is
-  /// always the float path; frame receivers, the batched reconciler, and
-  /// the timed kernels branch on this flag.
-  bool quantized = true;
-  /// Optional pool for flooding-schedule parallel updates (layered is
-  /// inherently sequential). Null = single-threaded.
-  ThreadPool* pool = nullptr;
   /// Optional scratch arena for decoder message/posterior buffers; null
   /// falls back to thread-local vectors.
   BlockArena* arena = nullptr;
@@ -54,10 +34,5 @@ float bsc_llr(double qber) noexcept;
 
 /// Saturation magnitude used for "known" positions (shortened / revealed).
 constexpr float kKnownLlr = 64.0f;
-
-/// Decode to `syndrome`; `llr[v] > 0` favours bit 0 at position v.
-DecodeResult decode_syndrome(const LdpcCode& code, const BitVec& syndrome,
-                             const std::vector<float>& llr,
-                             const DecoderConfig& config);
 
 }  // namespace qkdpp::reconcile

@@ -42,10 +42,10 @@ struct FramePlan {
   double predicted_efficiency = 0.0;
 };
 
-/// Choose code + (d, s) for a frame of at least `min_frame` bits at
+/// Choose code + (d, s) for a frame of at least `min_bits` bits at
 /// crossover `qber`, aiming at reconciliation efficiency `f_target`.
 /// `adapt_fraction` is the d+s budget as a fraction of n (0.1 is typical).
-FramePlan plan_frame(std::size_t min_frame, double qber, double f_target,
+FramePlan plan_frame(std::size_t min_bits, double qber, double f_target,
                      double adapt_fraction = 0.10);
 
 /// Like plan_frame, but constrained to frames whose payload FITS inside a

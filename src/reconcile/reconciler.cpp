@@ -70,8 +70,7 @@ LdpcFrameReceiver::Attempt LdpcFrameReceiver::try_decode(
     const BitVec& syndrome) {
   const LdpcCode& code = code_by_id(plan_.code_id);
   const DecodeResult result =
-      decoder_.quantized ? decode_syndrome_quant(code, syndrome, llr_, decoder_)
-                         : decode_syndrome(code, syndrome, llr_, decoder_);
+      decode_syndrome_quant(code, syndrome, llr_, decoder_);
   decoded_ = result.word;
   return Attempt{result.converged, result.iterations};
 }

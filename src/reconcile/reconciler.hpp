@@ -7,7 +7,8 @@
 //   * Cascade (see cascade.hpp) - interactive, efficiency ~1.05-1.2 but
 //     O(log n) round trips per error.
 //
-// The pipeline chooses per block; the benches compare them head-to-head.
+// The pipeline chooses per block; reconcile_ldpc_test pins the trade-off
+// (Cascade leaks less but talks more).
 #pragma once
 
 #include <cstdint>
@@ -40,13 +41,12 @@ struct LdpcReconcilerConfig {
   /// Regular (3,dc) PEG codes are not capacity-tight; 1.45 keeps the frame
   /// error rate near zero without blind rescues (measured in
   /// reconcile_ldpc_test). Tighter targets trade blind round-trips for
-  /// leakage - see the F4/F8 benches.
+  /// leakage.
   double f_target = 1.45;
   double adapt_fraction = 0.10;
-  std::size_t min_frame = 4096;
   unsigned max_blind_rounds = 4;
   /// Lockstep frames the batched planner aims to cut a key into (see
-  /// plan_frame_batched); only consulted when decoder.quantized is set.
+  /// plan_frame_batched).
   std::size_t batch_target_frames = 8;
   DecoderConfig decoder;
 };
@@ -135,8 +135,8 @@ struct BatchReconcileStats {
 /// their leakage still counts). Per-frame results - corrected payloads,
 /// leak accounting, rounds - are bit-identical to calling
 /// ldpc_reconcile_local frame by frame with the same shared private RNG
-/// and a quantized DecoderConfig (the equivalence the reconcile_batch
-/// tests pin down). `per_frame`, when non-null, receives one
+/// and DecoderConfig (the equivalence the reconcile_batch tests pin
+/// down). `per_frame`, when non-null, receives one
 /// ReconcileOutcome per frame. `arena` (nullable) backs the decoder and
 /// payload scratch.
 BatchReconcileStats ldpc_reconcile_key_batch(

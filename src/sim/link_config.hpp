@@ -1,7 +1,8 @@
 // Physical-layer configuration of the simulated decoy-state BB84 link.
 //
-// The simulator replaces the paper's physical QKD testbed (see DESIGN.md
-// substitution table): it produces raw-key streams whose statistics (gain,
+// The simulator replaces the paper's physical QKD testbed, because the
+// post-processing under study only sees detection logs and those can be
+// generated in software: it produces raw-key streams whose statistics (gain,
 // QBER, basis-match rate, decoy yields) follow the standard weak-coherent-
 // pulse channel model, so every post-processing code path downstream is
 // exercised exactly as it would be by detector hardware.

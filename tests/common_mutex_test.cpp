@@ -15,7 +15,7 @@ namespace {
 TEST(LockRank, InOrderNestingIsAllowed) {
   Mutex outer(LockRank::kPair, "test.outer");
   Mutex inner(LockRank::kTap, "test.inner");
-  Mutex leaf(LockRank::kLog, "test.leaf");
+  Mutex leaf(LockRank::kCodeCache, "test.leaf");
   {
     MutexLock a(outer);
     MutexLock b(inner);
@@ -45,7 +45,7 @@ TEST(LockRank, ReleaseOrderNeedNotBeLifo) {
 TEST(LockRank, OtherThreadsHoldTheirOwnStacks) {
   // Rank stacks are per-thread: thread B taking a high rank while thread A
   // holds a low one is not a violation.
-  Mutex low(LockRank::kLog, "test.low");
+  Mutex low(LockRank::kCodeCache, "test.low");
   Mutex high(LockRank::kOrchestrator, "test.high");
   MutexLock a(low);
   std::thread other([&] { MutexLock b(high); });
@@ -89,7 +89,7 @@ TEST(LockRankDeathTest, TryLockViolationAborts) {
     GTEST_SKIP() << "rank checker compiled out (NDEBUG build)";
   }
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  Mutex low(LockRank::kLog, "test.low");
+  Mutex low(LockRank::kCodeCache, "test.low");
   Mutex high(LockRank::kPair, "test.high");
   EXPECT_DEATH(
       {

@@ -28,7 +28,6 @@ BlockInput metro_input(std::uint64_t block_id, std::uint64_t seed,
 
 PostprocessParams metro_params() {
   PostprocessParams params;
-  params.ldpc.min_frame = 4096;
   return params;
 }
 
@@ -164,6 +163,60 @@ TEST(PostprocessEngine, DeviceReportAccountsLaunches) {
   EXPECT_EQ(gpu.kernels_launched, 5u);  // one per stage
   EXPECT_GT(gpu.busy_seconds, 0.0);
   EXPECT_EQ(reports[0].kernels_launched, 0u);
+}
+
+TEST(PostprocessEngine, FpgaSimChargesWorstCaseIterations) {
+  // Fixed-depth decoder hardware runs every frame to the iteration cap; the
+  // gpu-sim charges the iterations the decoder actually ran. Both price an
+  // iteration with the reconcile stage's own one-frame work model, so the
+  // expected charges follow from it without restating its constants.
+  const BlockInput input = metro_input(6, 48);
+  const PostprocessParams params = metro_params();
+  const unsigned max_iterations = params.ldpc.decoder.max_iterations;
+  const auto executors = make_stage_executors(params);
+  const StageExecutor& reconcile = *executors[2];
+  ASSERT_EQ(reconcile.kind(), StageKind::kReconcile);
+  // A key shorter than one frame is priced as exactly one frame.
+  StageWorkload one_frame;
+  one_frame.key_bits = 0;
+  const hetero::WorkEstimate frame =
+      reconcile.work_model(one_frame, hetero::DeviceKind::kFpgaSim);
+
+  const auto run_on = [&](hetero::DeviceKind kind) {
+    PostprocessEngine engine(params, EngineOptions::pinned(kind));
+    Xoshiro256 rng(14);
+    const BlockOutcome outcome = engine.process_block(input, 6, rng);
+    EXPECT_TRUE(outcome.success) << outcome.abort_reason;
+    return outcome;
+  };
+  const BlockOutcome fpga = run_on(hetero::DeviceKind::kFpgaSim);
+  const BlockOutcome gpu = run_on(hetero::DeviceKind::kGpuSim);
+  ASSERT_GT(fpga.reconcile_frames, 0u);
+  // Same block, same decode: only the charge differs.
+  EXPECT_EQ(fpga.final_key, gpu.final_key);
+  EXPECT_EQ(fpga.decoder_iterations, gpu.decoder_iterations);
+
+  const auto frames = static_cast<double>(fpga.reconcile_frames);
+  const hetero::Device fpga_model(hetero::fpga_sim_props());
+  const hetero::WorkEstimate fpga_work{frames * frame.ops,
+                                       frames * frame.bytes_touched,
+                                       frames * frame.bytes_transferred};
+  EXPECT_NEAR(fpga.timings.reconcile, fpga_model.model_seconds(fpga_work),
+              1e-9 * fpga.timings.reconcile);
+
+  const double per_iteration = 1.0 / static_cast<double>(max_iterations);
+  const auto ran = static_cast<double>(gpu.decoder_iterations);
+  const hetero::Device gpu_model(hetero::gpu_sim_props());
+  const hetero::WorkEstimate gpu_work{ran * frame.ops * per_iteration,
+                                      ran * frame.bytes_touched * per_iteration,
+                                      frames * frame.bytes_transferred};
+  EXPECT_NEAR(gpu.timings.reconcile, gpu_model.model_seconds(gpu_work),
+              1e-9 * gpu.timings.reconcile);
+
+  // Strictly more model ops on the fpga: the cap times every frame exceeds
+  // what early termination actually ran.
+  EXPECT_LT(gpu.decoder_iterations, fpga.reconcile_frames * max_iterations);
+  EXPECT_GT(fpga_work.ops, gpu_work.ops);
 }
 
 TEST(PostprocessEngine, AbortedBlockReportsStageReason) {

@@ -1,12 +1,8 @@
-// Device model + timed kernel tests: charging rules, bit-exactness across
-// backends, batching amortization, accounting.
-#include "hetero/kernels.hpp"
+// Device model tests: charging rules (wall clock vs model time), the
+// roofline and transfer terms, accounting across kernels.
+#include "hetero/device.hpp"
 
 #include <gtest/gtest.h>
-
-#include "common/rng.hpp"
-#include "privacy/toeplitz.hpp"
-#include "privacy/verification.hpp"
 
 namespace qkdpp::hetero {
 namespace {
@@ -62,137 +58,6 @@ TEST(Device, BusyAccumulatesAcrossKernels) {
   EXPECT_NEAR(gpu.busy_seconds(), 2 * (1e-3 + gpu.props().launch_latency_s),
               1e-9);
   EXPECT_EQ(gpu.kernels_launched(), 2u);
-}
-
-struct KernelFixture : public ::testing::Test {
-  void SetUp() override {
-    code = &reconcile::code_by_id(0);  // n=1024 rate 0.5
-    Xoshiro256 rng(42);
-    alice = rng.random_bits(code->n());
-    bob = alice;
-    for (std::size_t i = 0; i < bob.size(); ++i) {
-      if (rng.bernoulli(0.03)) bob.flip(i);
-    }
-    syndrome = code->syndrome(alice);
-    const float channel = reconcile::bsc_llr(0.03);
-    llr.resize(code->n());
-    for (std::size_t v = 0; v < code->n(); ++v) {
-      llr[v] = bob.get(v) ? -channel : channel;
-    }
-  }
-
-  const reconcile::LdpcCode* code = nullptr;
-  BitVec alice, bob, syndrome;
-  std::vector<float> llr;
-};
-
-TEST_F(KernelFixture, DecodeBitExactAcrossDevices) {
-  ThreadPool pool(2);
-  Device cpu(cpu_scalar_props());
-  Device par(cpu_parallel_props(2), &pool);
-  Device gpu(gpu_sim_props(), &pool);
-  Device fpga(fpga_sim_props(), &pool);
-
-  reconcile::DecoderConfig config;
-  config.schedule = reconcile::BpSchedule::kFlooding;  // common schedule
-  const DecodeJob job{&syndrome, &llr};
-
-  std::vector<reconcile::DecodeResult> r_cpu, r_par, r_gpu, r_fpga;
-  timed_ldpc_decode(cpu, *code, std::span(&job, 1), config, r_cpu);
-  timed_ldpc_decode(par, *code, std::span(&job, 1), config, r_par);
-  timed_ldpc_decode(gpu, *code, std::span(&job, 1), config, r_gpu);
-  timed_ldpc_decode(fpga, *code, std::span(&job, 1), config, r_fpga);
-
-  ASSERT_TRUE(r_cpu[0].converged);
-  EXPECT_EQ(r_cpu[0].word, alice);
-  EXPECT_EQ(r_par[0].word, alice);
-  EXPECT_EQ(r_gpu[0].word, alice);
-  EXPECT_EQ(r_fpga[0].word, alice);
-}
-
-TEST_F(KernelFixture, FpgaChargesWorstCaseIterations) {
-  ThreadPool pool(2);
-  Device gpu(gpu_sim_props(), &pool);
-  Device fpga(fpga_sim_props(), &pool);
-  reconcile::DecoderConfig config;
-  config.max_iterations = 60;
-  const DecodeJob job{&syndrome, &llr};
-  std::vector<reconcile::DecodeResult> results;
-
-  timed_ldpc_decode(gpu, *code, std::span(&job, 1), config, results);
-  const double gpu_ops_charged = gpu.busy_seconds();
-  timed_ldpc_decode(fpga, *code, std::span(&job, 1), config, results);
-  // The GPU charges actual iterations (<< 60); the FPGA always charges 60
-  // iterations worth of ops at its lower rate -> strictly more model ops.
-  EXPECT_LT(results[0].iterations, 60u);
-  EXPECT_GT(fpga.busy_seconds() / (150.0 / 4000.0), gpu_ops_charged);
-}
-
-TEST_F(KernelFixture, BatchingAmortizesLaunchOverhead) {
-  ThreadPool pool(2);
-  Device one(gpu_sim_props(), &pool);
-  Device batched(gpu_sim_props(), &pool);
-
-  reconcile::DecoderConfig config;
-  const DecodeJob job{&syndrome, &llr};
-  std::vector<reconcile::DecodeResult> results;
-
-  const int kBatch = 16;
-  for (int i = 0; i < kBatch; ++i) {
-    timed_ldpc_decode(one, *code, std::span(&job, 1), config, results);
-  }
-  std::vector<DecodeJob> jobs(kBatch, job);
-  timed_ldpc_decode(batched, *code, jobs, config, results);
-
-  // Same arithmetic, but 16 launches + 16 transfers vs 1 launch + 1 bulk
-  // transfer: batched must be cheaper.
-  EXPECT_LT(batched.busy_seconds(), one.busy_seconds());
-}
-
-TEST_F(KernelFixture, SyndromeKernelMatchesDirect) {
-  Device cpu(cpu_scalar_props());
-  std::vector<BitVec> words = {alice, bob};
-  std::vector<BitVec> syndromes;
-  timed_syndrome(cpu, *code, words, syndromes);
-  ASSERT_EQ(syndromes.size(), 2u);
-  EXPECT_EQ(syndromes[0], code->syndrome(alice));
-  EXPECT_EQ(syndromes[1], code->syndrome(bob));
-}
-
-TEST(Kernels, ToeplitzBitExactAcrossDevices) {
-  Xoshiro256 rng(7);
-  ThreadPool pool(2);
-  Device cpu(cpu_scalar_props());
-  Device gpu(gpu_sim_props(), &pool);
-  const BitVec input = rng.random_bits(4096);
-  const BitVec seed = rng.random_bits(4096 + 2048 - 1);
-  BitVec out_cpu, out_gpu;
-  timed_toeplitz(cpu, input, seed, 2048, out_cpu);
-  timed_toeplitz(gpu, input, seed, 2048, out_gpu);
-  EXPECT_EQ(out_cpu, out_gpu);
-  EXPECT_EQ(out_cpu, privacy::toeplitz_hash_direct(input, seed, 2048));
-}
-
-TEST(Kernels, PolyTagMatchesVerification) {
-  Xoshiro256 rng(8);
-  Device cpu(cpu_scalar_props());
-  std::vector<std::uint8_t> message(1000);
-  for (auto& b : message) b = static_cast<std::uint8_t>(rng.next_u64());
-  U128 tag;
-  timed_poly_tag(cpu, message, 99, tag);
-  const BitVec bits = BitVec::from_bytes(message, message.size() * 8);
-  EXPECT_EQ(tag, privacy::verification_tag(bits, 99));
-}
-
-TEST(Kernels, EmptyBatchThrows) {
-  Device cpu(cpu_scalar_props());
-  std::vector<reconcile::DecodeResult> results;
-  EXPECT_THROW(timed_ldpc_decode(cpu, reconcile::code_by_id(0), {},
-                                 reconcile::DecoderConfig{}, results),
-               std::invalid_argument);
-  std::vector<BitVec> syndromes;
-  EXPECT_THROW(timed_syndrome(cpu, reconcile::code_by_id(0), {}, syndromes),
-               std::invalid_argument);
 }
 
 }  // namespace

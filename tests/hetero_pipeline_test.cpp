@@ -1,124 +1,13 @@
-// StreamPipeline + mapper tests: ordering, backpressure, failure
-// propagation, stats; mapping optimality against brute-force expectations.
+// Mapper tests: mapping optimality against brute-force expectations,
+// infeasible cells, shape validation.
 #include "hetero/mapper.hpp"
-#include "hetero/stream_pipeline.hpp"
 
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "common/error.hpp"
 
 namespace qkdpp::hetero {
 namespace {
-
-struct Item {
-  int id = 0;
-  int tag = 0;
-};
-
-TEST(StreamPipeline, PreservesOrderAndAppliesAllStages) {
-  StreamPipeline<Item> pipeline(
-      {{"double", nullptr,
-        [](Item& item) {
-          item.tag = item.id * 2;
-          return 0.0;
-        }},
-       {"inc", nullptr,
-        [](Item& item) {
-          item.tag += 1;
-          return 0.0;
-        }}},
-      4);
-  for (int i = 0; i < 100; ++i) pipeline.push({i, 0});
-  pipeline.finish();
-  const auto& out = pipeline.results();
-  ASSERT_EQ(out.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(out[i].id, i);  // order preserved
-    EXPECT_EQ(out[i].tag, i * 2 + 1);
-  }
-}
-
-TEST(StreamPipeline, StatsCountItems) {
-  StreamPipeline<Item> pipeline(
-      {{"a", nullptr, [](Item&) { return 0.5; }},
-       {"b", nullptr, [](Item&) { return 0.25; }}},
-      2);
-  for (int i = 0; i < 10; ++i) pipeline.push({i, 0});
-  pipeline.finish();
-  const auto stats = pipeline.stats();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].items, 10u);
-  EXPECT_EQ(stats[1].items, 10u);
-  EXPECT_NEAR(stats[0].charged_seconds, 5.0, 1e-9);
-  EXPECT_NEAR(stats[1].charged_seconds, 2.5, 1e-9);
-  EXPECT_EQ(stats[0].name, "a");
-}
-
-TEST(StreamPipeline, BackpressureBoundsQueueDepth) {
-  std::atomic<int> in_flight{0};
-  std::atomic<int> max_in_flight{0};
-  StreamPipeline<Item> pipeline(
-      {{"slow", nullptr,
-        [&](Item&) {
-          const int now = ++in_flight;
-          int expected = max_in_flight.load();
-          while (now > expected &&
-                 !max_in_flight.compare_exchange_weak(expected, now)) {
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-          --in_flight;
-          return 0.0;
-        }}},
-      2);
-  for (int i = 0; i < 50; ++i) pipeline.push({i, 0});
-  pipeline.finish();
-  ASSERT_EQ(pipeline.results().size(), 50u);
-  EXPECT_LE(max_in_flight.load(), 2);  // single worker per stage
-}
-
-TEST(StreamPipeline, StageExceptionSurfacesOnFinish) {
-  StreamPipeline<Item> pipeline(
-      {{"boom", nullptr, [](Item& item) -> double {
-          if (item.id == 3) throw_error(ErrorCode::kDecodeFailure, "kaboom");
-          return 0.0;
-        }}},
-      2);
-  // The failure may surface either from a later push (backpressure path)
-  // or from finish(); both carry the original error code.
-  try {
-    for (int i = 0; i < 8; ++i) pipeline.push({i, 0});
-    pipeline.finish();
-    FAIL() << "expected decode failure";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kDecodeFailure);
-  }
-}
-
-TEST(StreamPipeline, DestructionWithoutFinishDoesNotHang) {
-  auto pipeline = std::make_unique<StreamPipeline<Item>>(
-      std::vector<StreamPipeline<Item>::Stage>{
-          {"noop", nullptr, [](Item&) { return 0.0; }}},
-      2);
-  pipeline->push({1, 0});
-  pipeline.reset();  // must join cleanly
-  SUCCEED();
-}
-
-TEST(StreamPipeline, EmptyStreamFinishes) {
-  StreamPipeline<Item> pipeline(
-      {{"noop", nullptr, [](Item&) { return 0.0; }}}, 2);
-  pipeline.finish();
-  EXPECT_TRUE(pipeline.results().empty());
-}
-
-TEST(StreamPipeline, InvalidConstructionThrows) {
-  EXPECT_THROW(StreamPipeline<Item>({}, 2), std::invalid_argument);
-  EXPECT_THROW(StreamPipeline<Item>(
-                   {{"x", nullptr, [](Item&) { return 0.0; }}}, 0),
-               std::invalid_argument);
-}
 
 MappingProblem three_by_three() {
   MappingProblem problem;

@@ -1,86 +1,14 @@
-// ExecutionTrace tests: recording, CSV export, occupancy math,
-// thread-safety under a streaming pipeline.
+// StageCostModel tests: EWMA tracking of drifting observations and
+// thread-safety under concurrent observers.
 #include "hetero/trace.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <vector>
 
-#include "hetero/stream_pipeline.hpp"
-
 namespace qkdpp::hetero {
 namespace {
-
-TEST(Trace, RecordsEventsInOrder) {
-  ExecutionTrace trace;
-  const double t0 = trace.stamp();
-  trace.record("decode", "gpu-sim", 0, t0, 0.001);
-  trace.record("amplify", "cpu", 0, trace.stamp(), 0.002);
-  ASSERT_EQ(trace.size(), 2u);
-  const auto events = trace.events();
-  EXPECT_EQ(events[0].stage, "decode");
-  EXPECT_EQ(events[0].device, "gpu-sim");
-  EXPECT_DOUBLE_EQ(events[0].charged_s, 0.001);
-  EXPECT_GE(events[0].end_s, events[0].start_s);
-  EXPECT_EQ(events[1].item, 0u);
-}
-
-TEST(Trace, CsvHasHeaderAndRows) {
-  ExecutionTrace trace;
-  trace.record("decode", "gpu-sim", 7, 0.0, 0.5);
-  std::ostringstream out;
-  trace.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("stage,device,item,start_s,end_s,charged_s"),
-            std::string::npos);
-  EXPECT_NE(csv.find("decode,gpu-sim,7,"), std::string::npos);
-}
-
-TEST(Trace, OccupancyEmptyAndUnknownDevice) {
-  ExecutionTrace trace;
-  EXPECT_DOUBLE_EQ(trace.device_occupancy("gpu"), 0.0);
-  trace.record("s", "cpu", 0, 0.0, 0.0);
-  EXPECT_DOUBLE_EQ(trace.device_occupancy("gpu"), 0.0);
-}
-
-TEST(Trace, OccupancyBoundedByOne) {
-  ExecutionTrace trace;
-  // Two overlapping events on the same device cannot exceed 100%.
-  trace.record("a", "cpu", 0, 0.0, 0.0);
-  trace.record("b", "cpu", 1, 0.0, 0.0);
-  EXPECT_LE(trace.device_occupancy("cpu"), 1.0);
-}
-
-TEST(Trace, ThreadSafeUnderStreamingPipeline) {
-  ExecutionTrace trace;
-  struct Item {
-    int id;
-  };
-  StreamPipeline<Item> pipeline(
-      {{"work", nullptr,
-        [&trace](Item& item) {
-          const double start = trace.stamp();
-          trace.record("work", "cpu", static_cast<std::uint64_t>(item.id),
-                       start, 0.0);
-          return 0.0;
-        }},
-       {"post", nullptr,
-        [&trace](Item& item) {
-          const double start = trace.stamp();
-          trace.record("post", "cpu2", static_cast<std::uint64_t>(item.id),
-                       start, 0.0);
-          return 0.0;
-        }}},
-      4);
-  for (int i = 0; i < 64; ++i) pipeline.push({i});
-  pipeline.finish();
-  EXPECT_EQ(trace.size(), 128u);
-  std::ostringstream out;
-  trace.write_csv(out);
-  EXPECT_GT(out.str().size(), 128u * 10);
-}
 
 TEST(StageCostModel, EwmaTracksDriftingObservations) {
   StageCostModel model(2, 0.25);

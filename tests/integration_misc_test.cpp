@@ -1,15 +1,13 @@
 // Cross-module integration and boundary tests that do not belong to any
-// single module's suite: QC codes driven through the hetero kernels and
-// stream scheduler, transform-limit boundaries, planner edge cases, and
-// failure injection across module seams.
+// single module's suite: QC codes driven through the lockstep decoder,
+// transform-limit boundaries, planner edge cases, and failure injection
+// across module seams.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/ntt.hpp"
 #include "common/rng.hpp"
-#include "hetero/kernels.hpp"
-#include "hetero/stream_pipeline.hpp"
-#include "privacy/toeplitz.hpp"
+#include "reconcile/batch_decoder.hpp"
 #include "reconcile/rate_adapt.hpp"
 #include "reconcile/reconciler.hpp"
 
@@ -47,8 +45,8 @@ TEST(QuasiCyclic, ValidatesParameters) {
                std::invalid_argument);
 }
 
-TEST(QuasiCyclic, DecodesThroughHeteroKernelBatch) {
-  // The large-block path the accelerators take: QC code + batched decode.
+TEST(QuasiCyclic, DecodesThroughLockstepBatch) {
+  // The large-block path of the reconcile stage: QC code + batched decode.
   const auto& code = reconcile::code_by_id(11);  // QC, n~16380 rate 0.7
   const double q = 0.03;
   Xoshiro256 rng(5);
@@ -63,86 +61,16 @@ TEST(QuasiCyclic, DecodesThroughHeteroKernelBatch) {
   for (std::size_t v = 0; v < code.n(); ++v) {
     llr[v] = bob.get(v) ? -channel : channel;
   }
-  ThreadPool pool(2);
-  hetero::Device gpu(hetero::gpu_sim_props(), &pool);
-  const hetero::DecodeJob job{&syndrome, &llr};
-  std::vector<hetero::DecodeJob> jobs(4, job);
+  const reconcile::QuantDecodeJob job{&syndrome, &llr};
+  const std::vector<reconcile::QuantDecodeJob> jobs(4, job);
   std::vector<reconcile::DecodeResult> results;
-  hetero::timed_ldpc_decode(gpu, code, jobs, reconcile::DecoderConfig{},
-                            results);
+  reconcile::decode_syndrome_batch(code, jobs, reconcile::DecoderConfig{},
+                                   results);
   ASSERT_EQ(results.size(), 4u);
   for (const auto& result : results) {
     ASSERT_TRUE(result.converged);
     EXPECT_EQ(result.word, alice);
   }
-}
-
-TEST(StreamPipeline, RealDecodeStageStreamsBlocks) {
-  // End-to-end: a two-stage pipeline (decode -> PA) over real kernels.
-  const auto& code = reconcile::code_by_id(3);
-  const double q = 0.03;
-  Xoshiro256 rng(6);
-
-  struct Block {
-    BitVec alice;
-    BitVec syndrome;
-    std::vector<float> llr;
-    BitVec decoded;
-    BitVec final_key;
-  };
-  auto make_block = [&]() {
-    Block block;
-    block.alice = rng.random_bits(code.n());
-    BitVec bob = block.alice;
-    for (std::size_t i = 0; i < bob.size(); ++i) {
-      if (rng.bernoulli(q)) bob.flip(i);
-    }
-    block.syndrome = code.syndrome(block.alice);
-    const float channel = reconcile::bsc_llr(q);
-    block.llr.resize(code.n());
-    for (std::size_t v = 0; v < code.n(); ++v) {
-      block.llr[v] = bob.get(v) ? -channel : channel;
-    }
-    return block;
-  };
-
-  ThreadPool pool(2);
-  hetero::Device gpu(hetero::gpu_sim_props(), &pool);
-  hetero::Device cpu(hetero::cpu_scalar_props());
-  const BitVec pa_seed = Xoshiro256(9).random_bits(code.n() + 2048 - 1);
-
-  hetero::StreamPipeline<Block> pipeline(
-      {{"decode", &gpu,
-        [&](Block& block) {
-          std::vector<reconcile::DecodeResult> results;
-          const hetero::DecodeJob job{&block.syndrome, &block.llr};
-          const double seconds = hetero::timed_ldpc_decode(
-              gpu, code, std::span(&job, 1), reconcile::DecoderConfig{},
-              results);
-          if (!results[0].converged) {
-            throw_error(ErrorCode::kDecodeFailure, "stream decode failed");
-          }
-          block.decoded = results[0].word;
-          return seconds;
-        }},
-       {"amplify", &cpu,
-        [&](Block& block) {
-          return hetero::timed_toeplitz(cpu, block.decoded, pa_seed, 2048,
-                                        block.final_key);
-        }}},
-      2);
-  for (int i = 0; i < 6; ++i) pipeline.push(make_block());
-  pipeline.finish();
-
-  ASSERT_EQ(pipeline.results().size(), 6u);
-  for (const auto& block : pipeline.results()) {
-    EXPECT_EQ(block.decoded, block.alice);
-    EXPECT_EQ(block.final_key,
-              privacy::toeplitz_hash_direct(block.alice, pa_seed, 2048));
-  }
-  const auto stats = pipeline.stats();
-  EXPECT_GT(stats[0].charged_seconds, 0.0);
-  EXPECT_GT(stats[1].charged_seconds, 0.0);
 }
 
 TEST(NttBoundary, TransformLimitEnforcedExactly) {

@@ -59,7 +59,6 @@ OfflineConfig metro_config() {
   OfflineConfig config;
   config.link.channel.length_km = 25.0;
   config.pulses_per_block = 1 << 20;
-  config.ldpc.min_frame = 4096;
   return config;
 }
 

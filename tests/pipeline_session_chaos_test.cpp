@@ -42,7 +42,6 @@ LinkData simulate_link(double km, std::uint64_t seed, std::size_t pulses) {
 
 SessionConfig metro_session_config() {
   SessionConfig config;
-  config.ldpc.min_frame = 4096;
   return config;
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <thread>
 
 #include "common/error.hpp"
@@ -53,7 +54,6 @@ std::pair<SessionResult, SessionResult> run_session(
 
 SessionConfig metro_session_config() {
   SessionConfig config;
-  config.ldpc.min_frame = 4096;
   return config;
 }
 
@@ -226,6 +226,106 @@ TEST(Session, DifferentAliceSeedsGiveDifferentKeys) {
   // Same raw data, different sampling/seeds -> different final keys.
   EXPECT_NE(alice1.final_key, alice2.final_key);
 }
+
+// Reconcile-stage fields a hostile Alice can put on the wire.
+enum class HostileField {
+  kNoPayloadPlan,      // n_punctured + n_shortened == n: zero payload bits
+  kShortSyndrome,      // syndrome one bit shorter than code.m()
+  kBlindShape,         // BlindResponse with more positions than values
+  kBlindPosition,      // BlindResponse revealing position n
+  kNanQberHint,        // qber_hint NaN: would reach a float-to-int cast
+};
+
+// A scripted Alice: honest through sifting and estimation, then sends the
+// hostile reconcile field. Bob must end the session with a typed protocol
+// fault instead of crashing or leaking an untyped exception.
+class HostileAlice : public ::testing::TestWithParam<HostileField> {};
+
+TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
+  const HostileField field = GetParam();
+  const auto data = simulate_link(25.0, 109, 1 << 19);
+  const reconcile::LdpcCode& code = reconcile::code_by_id(0);  // n = 1024
+  auto [alice_channel, bob_channel] = protocol::make_channel_pair();
+
+  protocol::ClassicalChannel& ch = *alice_channel;
+  const auto play = [&] {
+    const auto send = [&ch](const protocol::Message& message) {
+      ch.send(protocol::encode_message(message));
+    };
+    const auto receive = [&ch] {
+      return protocol::decode_message(ch.receive());
+    };
+    const auto report = std::get<protocol::DetectionReport>(receive());
+    send(protocol::sift_alice(data.alice_log, report).result);
+    send(protocol::PeReveal{1, {}, {}});  // reveal nothing: all key
+    (void)std::get<protocol::PeReport>(receive());
+    send(protocol::PeVerdict{1, true, 0.02, 0.03});
+
+    protocol::ReconcileStart start;
+    start.block_id = 1;
+    start.perm_seed = 7;
+    start.code_id = 0;
+    start.qber_hint = 0.02;
+    Xoshiro256 rng(11);
+    // A random syndrome is far from Bob's word: the first decode fails and
+    // Bob asks for a blind reveal.
+    start.syndrome = rng.random_bits(code.m());
+    if (field == HostileField::kNoPayloadPlan) {
+      start.n_punctured = static_cast<std::uint32_t>(code.n() / 2);
+      start.n_shortened = static_cast<std::uint32_t>(code.n()) -
+                          start.n_punctured;
+    }
+    if (field == HostileField::kShortSyndrome) {
+      start.syndrome = rng.random_bits(code.m() - 1);
+    }
+    if (field == HostileField::kNanQberHint) {
+      start.qber_hint = std::numeric_limits<double>::quiet_NaN();
+    }
+    send(start);
+    if (field != HostileField::kBlindShape &&
+        field != HostileField::kBlindPosition) {
+      return;
+    }
+    const auto request = std::get<protocol::BlindRequest>(receive());
+    protocol::BlindResponse response;
+    response.block_id = 1;
+    response.round = request.round;
+    if (field == HostileField::kBlindShape) {
+      response.positions = {1, 2};
+      response.values = BitVec(1);
+    } else {
+      response.positions = {static_cast<std::uint32_t>(code.n())};
+      response.values = BitVec(1);
+    }
+    send(response);
+  };
+  // Closing Alice's end when the script stops means a Bob that wanted more
+  // fails on a closed channel instead of waiting forever.
+  auto alice = std::async(std::launch::async, [&] {
+    try {
+      play();
+    } catch (...) {
+      ch.close();
+      throw;
+    }
+    ch.close();
+  });
+
+  const SessionResult bob =
+      run_bob_session(*bob_channel, data.bob, metro_session_config());
+  alice.get();
+  EXPECT_FALSE(bob.success);
+  ASSERT_TRUE(bob.fault_code.has_value()) << bob.abort_reason;
+  EXPECT_EQ(*bob.fault_code, ErrorCode::kProtocol) << bob.abort_reason;
+  EXPECT_TRUE(bob.final_key.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(ReconcileFields, HostileAlice,
+                         ::testing::Values(HostileField::kNoPayloadPlan,
+                                           HostileField::kShortSyndrome,
+                                           HostileField::kBlindShape,
+                                           HostileField::kBlindPosition,
+                                           HostileField::kNanQberHint));
 
 }  // namespace
 }  // namespace qkdpp::pipeline

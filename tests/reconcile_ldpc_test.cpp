@@ -1,5 +1,5 @@
-// LDPC tests: PEG structure, syndrome math, decoder convergence across the
-// algorithm/schedule grid, rate adaptation, blind reconciliation.
+// LDPC tests: PEG structure, syndrome math, int8 decoder convergence over
+// a QBER grid, rate adaptation, blind reconciliation.
 #include "reconcile/reconciler.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include "common/entropy.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "reconcile/batch_decoder.hpp"
 
 namespace qkdpp::reconcile {
 namespace {
@@ -115,26 +116,16 @@ TEST(Decoder, ZeroNoiseConvergesImmediately) {
   for (std::size_t v = 0; v < code.n(); ++v) {
     llr[v] = x.get(v) ? -8.0f : 8.0f;
   }
-  for (const auto schedule : {BpSchedule::kFlooding, BpSchedule::kLayered}) {
-    DecoderConfig config;
-    config.schedule = schedule;
-    const auto result = decode_syndrome(code, s, llr, config);
-    EXPECT_TRUE(result.converged);
-    EXPECT_EQ(result.word, x);
-    EXPECT_EQ(result.iterations, 1u);
-  }
+  const auto result = decode_syndrome_quant(code, s, llr, DecoderConfig{});
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.word, x);
+  EXPECT_EQ(result.iterations, 1u);
 }
 
-struct DecoderCase {
-  BpAlgorithm algorithm;
-  BpSchedule schedule;
-  double qber;
-};
-
-class DecoderGrid : public ::testing::TestWithParam<DecoderCase> {};
+class DecoderGrid : public ::testing::TestWithParam<double> {};
 
 TEST_P(DecoderGrid, RecoversAliceWordThroughBsc) {
-  const auto [algorithm, schedule, q] = GetParam();
+  const double q = GetParam();
   Xoshiro256 rng(static_cast<std::uint64_t>(q * 1e5) + 77);
   const LdpcCode& code = code_by_id(3);  // n=4096, rate 0.5
   const BitVec alice = rng.random_bits(code.n());
@@ -147,71 +138,13 @@ TEST_P(DecoderGrid, RecoversAliceWordThroughBsc) {
     llr[v] = bob.get(v) ? -channel : channel;
   }
   DecoderConfig config;
-  config.algorithm = algorithm;
-  config.schedule = schedule;
   config.max_iterations = 100;
-  const auto result = decode_syndrome(code, s, llr, config);
+  const auto result = decode_syndrome_quant(code, s, llr, config);
   ASSERT_TRUE(result.converged);
   EXPECT_EQ(result.word, alice);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, DecoderGrid,
-    ::testing::Values(
-        DecoderCase{BpAlgorithm::kMinSum, BpSchedule::kFlooding, 0.02},
-        DecoderCase{BpAlgorithm::kMinSum, BpSchedule::kLayered, 0.02},
-        DecoderCase{BpAlgorithm::kSumProduct, BpSchedule::kFlooding, 0.02},
-        DecoderCase{BpAlgorithm::kSumProduct, BpSchedule::kLayered, 0.02},
-        DecoderCase{BpAlgorithm::kMinSum, BpSchedule::kLayered, 0.05},
-        DecoderCase{BpAlgorithm::kSumProduct, BpSchedule::kLayered, 0.05}));
-
-TEST(Decoder, LayeredConvergesFasterThanFlooding) {
-  Xoshiro256 rng(88);
-  const LdpcCode& code = code_by_id(3);
-  const BitVec alice = rng.random_bits(code.n());
-  const BitVec bob = corrupt(alice, 0.04, rng);
-  const BitVec s = code.syndrome(alice);
-  const float channel = bsc_llr(0.04);
-  std::vector<float> llr(code.n());
-  for (std::size_t v = 0; v < code.n(); ++v) {
-    llr[v] = bob.get(v) ? -channel : channel;
-  }
-  DecoderConfig flooding;
-  flooding.schedule = BpSchedule::kFlooding;
-  flooding.max_iterations = 200;
-  DecoderConfig layered;
-  layered.schedule = BpSchedule::kLayered;
-  layered.max_iterations = 200;
-  const auto f = decode_syndrome(code, s, llr, flooding);
-  const auto l = decode_syndrome(code, s, llr, layered);
-  ASSERT_TRUE(f.converged);
-  ASSERT_TRUE(l.converged);
-  EXPECT_LT(l.iterations, f.iterations);
-}
-
-TEST(Decoder, ParallelFloodingMatchesSerial) {
-  Xoshiro256 rng(89);
-  const LdpcCode& code = code_by_id(3);
-  const BitVec alice = rng.random_bits(code.n());
-  const BitVec bob = corrupt(alice, 0.03, rng);
-  const BitVec s = code.syndrome(alice);
-  const float channel = bsc_llr(0.03);
-  std::vector<float> llr(code.n());
-  for (std::size_t v = 0; v < code.n(); ++v) {
-    llr[v] = bob.get(v) ? -channel : channel;
-  }
-  DecoderConfig serial;
-  serial.schedule = BpSchedule::kFlooding;
-  DecoderConfig parallel = serial;
-  ThreadPool pool(2);
-  parallel.pool = &pool;
-  const auto a = decode_syndrome(code, s, llr, serial);
-  const auto b = decode_syndrome(code, s, llr, parallel);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  EXPECT_EQ(a.word, b.word);
-  EXPECT_EQ(a.iterations, b.iterations);
-}
+INSTANTIATE_TEST_SUITE_P(Grid, DecoderGrid, ::testing::Values(0.02, 0.05));
 
 TEST(Decoder, FailsGracefullyAboveThreshold) {
   // Rate 0.8 code at q = 11% is far beyond capacity: must report failure,
@@ -228,7 +161,7 @@ TEST(Decoder, FailsGracefullyAboveThreshold) {
   }
   DecoderConfig config;
   config.max_iterations = 30;
-  const auto result = decode_syndrome(code, s, llr, config);
+  const auto result = decode_syndrome_quant(code, s, llr, config);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 30u);
 }
