@@ -18,9 +18,7 @@ void ByteWriter::put_u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-void ByteWriter::put_f64(double v) {
-  put_u64(std::bit_cast<std::uint64_t>(v));
-}
+void ByteWriter::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
 void ByteWriter::put_varint(std::uint64_t v) {
   while (v >= 0x80) {
@@ -69,21 +67,24 @@ std::uint8_t ByteReader::get_u8() {
 std::uint16_t ByteReader::get_u16() {
   need(2);
   std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(data_[pos_++]) << (8 * i);
+  for (int i = 0; i < 2; ++i)
+    v |= static_cast<std::uint16_t>(data_[pos_++]) << (8 * i);
   return v;
 }
 
 std::uint32_t ByteReader::get_u32() {
   need(4);
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
+  for (int i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
   return v;
 }
 
 std::uint64_t ByteReader::get_u64() {
   need(8);
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+  for (int i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
   return v;
 }
 
@@ -97,7 +98,7 @@ std::uint64_t ByteReader::get_varint() {
     if (shift >= 63 && byte > 1) {
       throw_error(ErrorCode::kSerialization, "varint overflow");
     }
-    v |= std::uint64_t{byte & 0x7f} << shift;
+    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) break;
     shift += 7;
   }
@@ -106,8 +107,9 @@ std::uint64_t ByteReader::get_varint() {
 
 std::vector<std::uint8_t> ByteReader::get_bytes(std::size_t n) {
   need(n);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  std::vector<std::uint8_t> out(
+      data_.begin() + static_cast<std::ptrdiff_t>(pos_),
+      data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
   return out;
 }

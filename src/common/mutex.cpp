@@ -2,9 +2,9 @@
 
 #if QKDPP_LOCK_RANK_CHECKS_ENABLED
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace qkdpp::detail {
 
@@ -15,16 +15,21 @@ struct HeldLock {
   const char* name;
 };
 
-// Per-thread stack of held locks. A vector (not a fixed array) so deep
-// helper-thread call chains can't overflow it; the handful of heap
-// allocations per thread lifetime is irrelevant in the debug builds this
-// compiles into.
-thread_local std::vector<HeldLock> t_held;
+// Per-thread stack of held locks. A fixed, trivially destructible array:
+// it has no thread_local destructor, so it stays valid for the static
+// destructors that still lock at exit (global_pool()'s runs after the
+// main thread's thread_locals are gone). Each acquire must rank strictly
+// below every held lock, so a thread holds at most one lock per rank and
+// kMaxHeld (more than there are ranks) is never reached.
+constexpr std::size_t kMaxHeld = 32;
+thread_local HeldLock t_held[kMaxHeld];
+thread_local std::size_t t_depth = 0;
 
 }  // namespace
 
 void rank_acquire(int rank, const char* name) {
-  for (const HeldLock& held : t_held) {
+  for (std::size_t i = 0; i < t_depth; ++i) {
+    const HeldLock& held = t_held[i];
     if (held.rank <= rank) {
       // Deliberately fprintf+abort instead of QKDPP_LOG/throw: the logger
       // itself takes a lock, and an exception would let a real deadlock
@@ -38,15 +43,21 @@ void rank_acquire(int rank, const char* name) {
       std::abort();
     }
   }
-  t_held.push_back(HeldLock{rank, name});
+  if (t_depth == kMaxHeld) {
+    std::fprintf(stderr, "qkdpp lock-rank checker: %zu locks already held\n",
+                 kMaxHeld);
+    std::abort();
+  }
+  t_held[t_depth++] = HeldLock{rank, name};
 }
 
 void rank_release(int rank, const char* name) noexcept {
   // Unlock order need not be LIFO (std::unique_lock-style early release),
   // so remove the most recent matching entry rather than popping the top.
-  for (auto it = t_held.rbegin(); it != t_held.rend(); ++it) {
-    if (it->rank == rank && it->name == name) {
-      t_held.erase(std::next(it).base());
+  for (std::size_t i = t_depth; i-- > 0;) {
+    if (t_held[i].rank == rank && t_held[i].name == name) {
+      for (std::size_t j = i + 1; j < t_depth; ++j) t_held[j - 1] = t_held[j];
+      --t_depth;
       return;
     }
   }

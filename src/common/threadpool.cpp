@@ -33,7 +33,18 @@ ThreadPool::~ThreadPool() {
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   QKDPP_REQUIRE(!stopping_.load(std::memory_order_acquire),
                 "submit on a stopping ThreadPool");
-  std::packaged_task<void()> packaged(std::move(task));
+  // Count the task inside its packaged_task, before the promise is set, on
+  // the normal and the throwing path alike: a caller that has joined the
+  // future then always finds the task in stats().executed.
+  std::packaged_task<void()> packaged([this, task = std::move(task)] {
+    struct CountExecuted {
+      std::atomic<std::uint64_t>& executed;
+      // relaxed: observability counter; the promise set after this
+      // destructor publishes the increment to whoever joins the future.
+      ~CountExecuted() { executed.fetch_add(1, std::memory_order_relaxed); }
+    } count{executed_};
+    task();
+  });
   auto future = packaged.get_future();
 
   // Raise pending_ before the push so a claimer can never decrement below
@@ -89,13 +100,12 @@ bool ThreadPool::claim_and_run(std::size_t my_index) {
   if (!task) return false;
 
   pending_.fetch_sub(1, std::memory_order_seq_cst);
-  // relaxed: stolen_/busy_workers_/executed_ are observability counters,
-  // read only by stats() snapshots - no data is published through them.
+  // relaxed: stolen_/busy_workers_ are observability counters, read only
+  // by stats() snapshots - no data is published through them.
   if (was_steal) stolen_.fetch_add(1, std::memory_order_relaxed);
   busy_workers_.fetch_add(1, std::memory_order_relaxed);
-  (*task)();
+  (*task)();  // counts itself in executed_ (see submit)
   busy_workers_.fetch_sub(1, std::memory_order_relaxed);
-  executed_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

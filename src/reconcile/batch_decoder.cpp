@@ -4,8 +4,12 @@
 #include <cstring>
 
 #include "common/arena.hpp"
-#include "common/bit_transpose.hpp"
 #include "common/error.hpp"
+#include "reconcile/min_sum_isa.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define QKDPP_X86_AVX2 1
+#endif
 
 namespace qkdpp::reconcile {
 
@@ -28,8 +32,7 @@ constexpr int kAlphaShift = 5;
 struct BatchScratchVectors {
   std::vector<std::int16_t> posterior;
   std::vector<std::int8_t> r;
-  std::vector<std::uint64_t> hard;
-  std::vector<std::uint64_t> syn;
+  std::vector<std::int16_t> sign;
   std::vector<std::uint16_t> vars;
 };
 
@@ -41,8 +44,7 @@ BatchScratchVectors& tls_batch_scratch() {
 struct BatchBuffers {
   std::int16_t* posterior = nullptr;  // n * L, lane-major
   std::int8_t* r = nullptr;           // edges * L, lane-major check -> var
-  std::uint64_t* hard = nullptr;      // n lane-packed hard decisions
-  std::uint64_t* syn = nullptr;       // m lane-packed syndromes
+  std::int16_t* sign = nullptr;       // m * L, lane-major syndrome bits
   std::uint16_t* vars = nullptr;      // edges, compressed check-major H
 };
 
@@ -55,8 +57,8 @@ BatchBuffers acquire_batch_buffers(const DecoderConfig& config, std::size_t n,
     buf.posterior = reinterpret_cast<std::int16_t*>(
         arena.bytes(n * lanes * sizeof(std::int16_t)));
     buf.r = reinterpret_cast<std::int8_t*>(arena.bytes(edges * lanes));
-    buf.hard = arena.words(n);
-    buf.syn = arena.words(m);
+    buf.sign = reinterpret_cast<std::int16_t*>(
+        arena.bytes(m * lanes * sizeof(std::int16_t)));
     buf.vars = reinterpret_cast<std::uint16_t*>(
         arena.bytes(edges * sizeof(std::uint16_t)));
     return buf;
@@ -64,136 +66,176 @@ BatchBuffers acquire_batch_buffers(const DecoderConfig& config, std::size_t n,
   BatchScratchVectors& scratch = tls_batch_scratch();
   scratch.posterior.resize(n * lanes);
   scratch.r.resize(edges * lanes);
-  scratch.hard.resize(n);
-  scratch.syn.resize(m);
+  scratch.sign.resize(m * lanes);
   scratch.vars.resize(edges);
   buf.posterior = scratch.posterior.data();
   buf.r = scratch.r.data();
-  buf.hard = scratch.hard.data();
-  buf.syn = scratch.syn.data();
+  buf.sign = scratch.sign.data();
   buf.vars = scratch.vars.data();
   return buf;
 }
 
-template <int L>
-void decode_batch_impl(const LdpcCode& code,
-                       std::span<const QuantDecodeJob> jobs,
-                       const DecoderConfig& config, const BatchBuffers& buf,
-                       std::vector<DecodeResult>& results) {
+/// Frame `lane`'s hard decision: the signs of its posteriors.
+void hard_decision(const std::int16_t* posterior, std::size_t n,
+                   std::size_t lanes, std::size_t lane, BitVec& out) {
+  out = BitVec(n);
+  std::span<std::uint64_t> words = out.mutable_words();
+  for (std::size_t v = 0; v < n; ++v) {
+    words[v / 64] |= std::uint64_t{posterior[v * lanes + lane] < 0}
+                     << (v % 64);
+  }
+}
+
+// A V-lane slice of a posterior row (int16) or of a message row (int8) as
+// one GCC/Clang vector-extension value. gcc ignores a vector_size that
+// depends on a template parameter, so each width spells its types out.
+template <int V>
+struct LaneVectors;
+template <>
+struct LaneVectors<4> {
+  typedef std::int16_t Wide __attribute__((vector_size(8)));
+  typedef std::int8_t Narrow __attribute__((vector_size(4)));
+};
+template <>
+struct LaneVectors<8> {
+  typedef std::int16_t Wide __attribute__((vector_size(16)));
+  typedef std::int8_t Narrow __attribute__((vector_size(8)));
+};
+template <>
+struct LaneVectors<16> {
+  typedef std::int16_t Wide __attribute__((vector_size(32)));
+  typedef std::int8_t Narrow __attribute__((vector_size(16)));
+};
+
+/// Lanes per vector: 8 int16 lanes fill the baseline 16-byte registers
+/// (SSE2, NEON), 16 fill AVX2's 32-byte ones. A wider vector would not
+/// be one register, and gcc lowers its compares lane by lane.
+constexpr int kPortableLanes = 8;
+
+/// The kernel body, shared by every instruction-set instantiation: it is
+/// force-inlined into one wrapper per target, so the same source compiles
+/// once for the baseline ISA and once for AVX2. A batch of L lanes runs
+/// as L / V groups of V lanes, each group one vector per row; a check
+/// walks its edges once per group. Lane vectors never cross a function
+/// boundary (a vector parameter or return value would tie the calling
+/// convention to the target).
+template <int L, int V>
+[[gnu::always_inline]] inline void decode_lanes(
+    const LdpcCode& code, std::span<const QuantDecodeJob> jobs,
+    const DecoderConfig& config, const BatchBuffers& buf,
+    std::vector<DecodeResult>& results) {
+  static_assert(L % V == 0);
+  using Wide = typename LaneVectors<V>::Wide;
+  using Narrow = typename LaneVectors<V>::Narrow;
   const std::size_t n = code.n();
   const std::size_t m = code.m();
   const std::size_t batch = jobs.size();
 
-  // Priors: lane l = frame l's quantized LLRs; pad lanes stay all-zero, so
-  // their messages, posteriors, and syndrome folds are identically zero
-  // and never perturb real lanes.
+  // Priors: lane l = frame l's quantized LLRs. Syndromes become sign rows:
+  // bit 15 of lane l holds frame l's syndrome bit, the seed of the lane's
+  // sign parity. Pad lanes stay all-zero, so their messages, posteriors
+  // and parities are identically zero and never perturb real lanes.
   std::memset(buf.posterior, 0, n * L * sizeof(std::int16_t));
+  std::memset(buf.sign, 0, m * L * sizeof(std::int16_t));
   for (std::size_t f = 0; f < batch; ++f) {
     const std::vector<float>& llr = *jobs[f].llr;
-    std::int16_t* post = buf.posterior + f;
     for (std::size_t v = 0; v < n; ++v) {
-      post[v * L] = quantize_llr(llr[v]);
+      buf.posterior[v * L + f] = quantize_llr(llr[v]);
+    }
+    const BitVec& syndrome = *jobs[f].syndrome;
+    for (std::size_t c = 0; c < m; ++c) {
+      if (syndrome.get(c)) buf.sign[c * L + f] = -0x8000;
     }
   }
   std::memset(buf.r, 0, code.edges() * L);
-
-  const BitVec* lanes[kMaxBatchFrames];
-  for (std::size_t f = 0; f < batch; ++f) lanes[f] = jobs[f].syndrome;
-  pack_lanes({lanes, batch}, m, buf.syn);
 
   results.assign(batch, DecodeResult{});
   std::uint64_t unresolved =
       batch == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << batch) - 1;
 
-  // Per-check staging, all lanes wide. Everything below is pure int16
-  // lane-parallel arithmetic with branchless selects so the compiler can
-  // map each `for l` loop onto 16-byte integer vectors; sign parity lives
-  // in bit 15 of `sgn` (XOR of the operands' sign bits) instead of a bool
-  // so it stays in the same lanes as the data.
-  std::int16_t qbuf[64 * L];  // clamped q for one check, all lanes
-  std::int16_t abuf[64 * L];  // |q| staged for pass 2
-  std::int16_t min1[L];
-  std::int16_t min2[L];
-  std::int16_t sgn[L];
+  const Wide rail = Wide{} + 127;  // the int8 message rails, +-127
+  const Wide unset = Wide{} + 0x7FFF;
+  Wide qbuf[64];  // clamped q of one check's edges, staged for pass 2
+  Wide abuf[64];  // |q|
 
   for (unsigned iter = 1; iter <= config.max_iterations && unresolved != 0;
        ++iter) {
     for (std::size_t c = 0; c < m; ++c) {
       const std::size_t deg = code.check_vars(c).size();
-      const std::uint32_t base = code.check_edge_begin(c);
+      const std::size_t base = code.check_edge_begin(c);
       const std::uint16_t* vars = buf.vars + base;
-      const std::uint64_t syn_word = buf.syn[c];
-      for (int l = 0; l < L; ++l) {
-        min1[l] = std::int16_t{0x7FFF};
-        min2[l] = std::int16_t{0x7FFF};
-        sgn[l] = static_cast<std::int16_t>(((syn_word >> l) & 1u) << 15);
-      }
-      // Pass 1: reconstruct q = posterior - r (clamped to the int8 rails),
-      // accumulate the per-lane sign parity and two smallest magnitudes.
-      for (std::size_t i = 0; i < deg; ++i) {
-        const std::int16_t* post =
-            buf.posterior + std::size_t{vars[i]} * L;
-        const std::int8_t* re = buf.r + (std::size_t{base} + i) * L;
-        std::int16_t* qv = qbuf + i * L;
-        std::int16_t* av = abuf + i * L;
-        for (int l = 0; l < L; ++l) {
-          std::int16_t t = static_cast<std::int16_t>(post[l] - re[l]);
-          t = t < -127 ? std::int16_t{-127} : t;
-          t = t > 127 ? std::int16_t{127} : t;
-          qv[l] = t;
-          sgn[l] = static_cast<std::int16_t>(sgn[l] ^ (t & std::int16_t(-0x8000)));
-          const std::int16_t neg = static_cast<std::int16_t>(-t);
-          const std::int16_t mag = t > neg ? t : neg;
-          av[l] = mag;
-          const std::int16_t lo = mag < min1[l] ? mag : min1[l];
-          const std::int16_t hi = mag < min1[l] ? min1[l] : mag;
-          min1[l] = lo;
-          min2[l] = hi < min2[l] ? hi : min2[l];
+      for (int g = 0; g < L; g += V) {
+        std::int16_t* post_g = buf.posterior + g;
+        std::int8_t* r_g = buf.r + base * L + g;
+        // Sign parity lives in bit 15 (the XOR of the operands' sign
+        // bits); the bits below it are never read.
+        Wide sgn;
+        std::memcpy(&sgn, buf.sign + c * L + g, sizeof sgn);
+        Wide min1 = unset;
+        Wide min2 = unset;
+        // Pass 1: reconstruct q = posterior - r (clamped to the int8
+        // rails), accumulate the sign parity and the two smallest
+        // magnitudes.
+        for (std::size_t i = 0; i < deg; ++i) {
+          Wide post;
+          Narrow msg;
+          std::memcpy(&post, post_g + std::size_t{vars[i]} * L, sizeof post);
+          std::memcpy(&msg, r_g + i * L, sizeof msg);
+          Wide t = post - __builtin_convertvector(msg, Wide);
+          t = t < -rail ? -rail : t;
+          t = t > rail ? rail : t;
+          qbuf[i] = t;
+          sgn ^= t;
+          const Wide neg = -t;
+          const Wide mag = t < neg ? neg : t;
+          abuf[i] = mag;
+          const Wide hi = mag < min1 ? min1 : mag;
+          min1 = mag < min1 ? mag : min1;
+          min2 = hi < min2 ? hi : min2;
         }
-      }
-      // Pass 2: emit messages (self-excluded minimum, normalized, signed
-      // by total parity ^ own sign) and refresh posteriors in place. A
-      // magnitude equal to min1 takes min2 whether or not it set min1 -
-      // on ties min1 == min2, so the select is exact without an argmin.
-      for (std::size_t i = 0; i < deg; ++i) {
-        std::int16_t* post = buf.posterior + std::size_t{vars[i]} * L;
-        std::int8_t* re = buf.r + (std::size_t{base} + i) * L;
-        const std::int16_t* qv = qbuf + i * L;
-        const std::int16_t* av = abuf + i * L;
-        for (int l = 0; l < L; ++l) {
-          std::int16_t mag = av[l] == min1[l] ? min2[l] : min1[l];
-          mag = mag > 127 ? std::int16_t{127} : mag;  // deg-1 corner
-          const std::int16_t scaled =
-              static_cast<std::int16_t>((mag * kAlphaNumerator) >> kAlphaShift);
-          // All-ones when the message is negative (parity ^ own sign), else
-          // zero; (x ^ mask) - mask negates under the mask, branch-free.
-          const std::int16_t mask = static_cast<std::int16_t>(
-              static_cast<std::int16_t>(sgn[l] ^ qv[l]) >> 15);
-          const std::int16_t updated =
-              static_cast<std::int16_t>((scaled ^ mask) - mask);
-          re[l] = static_cast<std::int8_t>(updated);
-          post[l] = static_cast<std::int16_t>(qv[l] + updated);
+        // Pass 2: emit messages (self-excluded minimum, normalized, signed
+        // by total parity ^ own sign) and refresh posteriors in place. A
+        // magnitude equal to min1 takes min2 whether or not it set min1 -
+        // on ties min1 == min2, so the select is exact without an argmin.
+        for (std::size_t i = 0; i < deg; ++i) {
+          Wide mag = abuf[i] == min1 ? min2 : min1;
+          mag = mag > rail ? rail : mag;  // deg-1 corner
+          const Wide scaled = (mag * kAlphaNumerator) >> kAlphaShift;
+          // All-ones where the message is negative (parity ^ own sign),
+          // else zero; (x ^ mask) - mask negates under the mask.
+          const Wide mask = (sgn ^ qbuf[i]) >> 15;
+          const Wide updated = (scaled ^ mask) - mask;
+          const Narrow msg = __builtin_convertvector(updated, Narrow);
+          const Wide post = qbuf[i] + updated;
+          std::memcpy(r_g + i * L, &msg, sizeof msg);
+          std::memcpy(post_g + std::size_t{vars[i]} * L, &post, sizeof post);
         }
       }
     }
-    // Lane-packed hard decisions + syndrome fold: one word per variable /
-    // check carries all frames, so the convergence test costs O(n + edges)
-    // for the whole batch.
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::int16_t* post = buf.posterior + v * L;
-      std::uint64_t bits = 0;
-      for (int l = 0; l < L; ++l) {
-        bits |= std::uint64_t{post[l] < 0} << l;
-      }
-      buf.hard[v] = bits;
-    }
-    std::uint64_t mismatch = 0;
+    // Convergence, every frame at once: fold each check's posterior signs
+    // into its syndrome row. Bit 15 of a lane stays set in `unmet` iff
+    // that frame's hard decision still violates some check.
+    Wide unmet[L / V] = {};
     for (std::size_t c = 0; c < m; ++c) {
       const std::size_t deg = code.check_vars(c).size();
       const std::uint16_t* vars = buf.vars + code.check_edge_begin(c);
-      std::uint64_t acc = buf.syn[c];
-      for (std::size_t i = 0; i < deg; ++i) acc ^= buf.hard[vars[i]];
-      mismatch |= acc;
+      for (int g = 0; g < L; g += V) {
+        Wide acc;
+        std::memcpy(&acc, buf.sign + c * L + g, sizeof acc);
+        for (std::size_t i = 0; i < deg; ++i) {
+          Wide post;
+          std::memcpy(&post, buf.posterior + std::size_t{vars[i]} * L + g,
+                      sizeof post);
+          acc ^= post;
+        }
+        unmet[g / V] |= acc;
+      }
+    }
+    std::int16_t unmet_lanes[L];
+    std::memcpy(unmet_lanes, unmet, sizeof unmet_lanes);
+    std::uint64_t mismatch = 0;
+    for (std::size_t f = 0; f < batch; ++f) {
+      mismatch |= std::uint64_t{unmet_lanes[f] < 0} << f;
     }
     const std::uint64_t newly = unresolved & ~mismatch;
     if (newly != 0) {
@@ -203,7 +245,7 @@ void decode_batch_impl(const LdpcCode& code,
         if ((newly >> f) & 1u) {
           results[f].converged = true;
           results[f].iterations = iter;
-          unpack_lane(buf.hard, n, static_cast<unsigned>(f), results[f].word);
+          hard_decision(buf.posterior, n, L, f, results[f].word);
         }
       }
       unresolved &= mismatch;
@@ -214,25 +256,82 @@ void decode_batch_impl(const LdpcCode& code,
   for (std::size_t f = 0; f < batch; ++f) {
     if ((unresolved >> f) & 1u) {
       results[f].iterations = config.max_iterations;
-      unpack_lane(buf.hard, n, static_cast<unsigned>(f), results[f].word);
+      hard_decision(buf.posterior, n, L, f, results[f].word);
     }
   }
 }
 
-std::size_t lanes_for(std::size_t batch) noexcept {
-  for (const std::size_t lanes : {std::size_t{4}, std::size_t{8},
-                                  std::size_t{16}, std::size_t{32}}) {
-    if (batch <= lanes) return lanes;
-  }
-  return 64;
+/// Lane widths run 4, 8, 16, 32, 64: the smallest that holds the batch.
+/// Returns its index, so the batch decodes on 4 << index lanes.
+std::size_t lane_width_index(std::size_t batch) noexcept {
+  std::size_t index = 0;
+  while ((std::size_t{4} << index) < batch) ++index;
+  return index;
 }
+
+using KernelFn = void (*)(const LdpcCode&, std::span<const QuantDecodeJob>,
+                          const DecoderConfig&, const BatchBuffers&,
+                          std::vector<DecodeResult>&);
+
+template <int L>
+void decode_lanes_portable(const LdpcCode& code,
+                           std::span<const QuantDecodeJob> jobs,
+                           const DecoderConfig& config,
+                           const BatchBuffers& buf,
+                           std::vector<DecodeResult>& results) {
+  decode_lanes<L, std::min(L, kPortableLanes)>(code, jobs, config, buf,
+                                               results);
+}
+
+/// One instantiation per lane width, indexed by lane_width_index.
+constexpr KernelFn kPortableKernels[] = {
+    decode_lanes_portable<4>, decode_lanes_portable<8>,
+    decode_lanes_portable<16>, decode_lanes_portable<32>,
+    decode_lanes_portable<64>};
+
+#ifdef QKDPP_X86_AVX2
+
+constexpr int kAvx2Lanes = 16;
+
+template <int L>
+__attribute__((target("avx2"))) void decode_lanes_avx2(
+    const LdpcCode& code, std::span<const QuantDecodeJob> jobs,
+    const DecoderConfig& config, const BatchBuffers& buf,
+    std::vector<DecodeResult>& results) {
+  decode_lanes<L, std::min(L, kAvx2Lanes)>(code, jobs, config, buf, results);
+}
+
+constexpr KernelFn kAvx2Kernels[] = {
+    decode_lanes_avx2<4>, decode_lanes_avx2<8>, decode_lanes_avx2<16>,
+    decode_lanes_avx2<32>, decode_lanes_avx2<64>};
+
+const bool g_has_avx2 = __builtin_cpu_supports("avx2") != 0;
+
+#endif  // QKDPP_X86_AVX2
+
+/// The widest instantiation this CPU executes, picked once at startup.
+const detail::MinSumIsa g_best_isa =
+    detail::min_sum_isa_available(detail::MinSumIsa::kAvx2)
+        ? detail::MinSumIsa::kAvx2
+        : detail::MinSumIsa::kPortable;
 
 }  // namespace
 
-void decode_syndrome_batch(const LdpcCode& code,
-                           std::span<const QuantDecodeJob> jobs,
-                           const DecoderConfig& config,
-                           std::vector<DecodeResult>& results) {
+namespace detail {
+
+bool min_sum_isa_available(MinSumIsa isa) noexcept {
+#ifdef QKDPP_X86_AVX2
+  if (isa == MinSumIsa::kAvx2) return g_has_avx2;
+#endif
+  return isa == MinSumIsa::kPortable;
+}
+
+void decode_syndrome_batch_on(MinSumIsa isa, const LdpcCode& code,
+                              std::span<const QuantDecodeJob> jobs,
+                              const DecoderConfig& config,
+                              std::vector<DecodeResult>& results) {
+  QKDPP_REQUIRE(min_sum_isa_available(isa),
+                "min-sum instantiation not available on this CPU");
   QKDPP_REQUIRE(!jobs.empty() && jobs.size() <= kMaxBatchFrames,
                 "batch size outside [1, 64]");
   QKDPP_REQUIRE(code.n() <= 65536,
@@ -245,7 +344,8 @@ void decode_syndrome_batch(const LdpcCode& code,
     QKDPP_REQUIRE(job.syndrome->size() == code.m(), "syndrome length mismatch");
   }
 
-  const std::size_t lanes = lanes_for(jobs.size());
+  const std::size_t width = lane_width_index(jobs.size());
+  const std::size_t lanes = std::size_t{4} << width;
   const BatchBuffers buf =
       acquire_batch_buffers(config, code.n(), code.m(), code.edges(), lanes);
 
@@ -261,23 +361,22 @@ void decode_syndrome_batch(const LdpcCode& code,
     }
   }
 
-  switch (lanes) {
-    case 4:
-      decode_batch_impl<4>(code, jobs, config, buf, results);
-      break;
-    case 8:
-      decode_batch_impl<8>(code, jobs, config, buf, results);
-      break;
-    case 16:
-      decode_batch_impl<16>(code, jobs, config, buf, results);
-      break;
-    case 32:
-      decode_batch_impl<32>(code, jobs, config, buf, results);
-      break;
-    default:
-      decode_batch_impl<64>(code, jobs, config, buf, results);
-      break;
+#ifdef QKDPP_X86_AVX2
+  if (isa == MinSumIsa::kAvx2) {
+    kAvx2Kernels[width](code, jobs, config, buf, results);
+    return;
   }
+#endif
+  kPortableKernels[width](code, jobs, config, buf, results);
+}
+
+}  // namespace detail
+
+void decode_syndrome_batch(const LdpcCode& code,
+                           std::span<const QuantDecodeJob> jobs,
+                           const DecoderConfig& config,
+                           std::vector<DecodeResult>& results) {
+  detail::decode_syndrome_batch_on(g_best_isa, code, jobs, config, results);
 }
 
 DecodeResult decode_syndrome_quant(const LdpcCode& code, const BitVec& syndrome,

@@ -5,8 +5,16 @@
 // same mother code in lockstep. State is lane-major - posterior[v] and
 // message r[e] are short arrays with one element per frame - so one pass
 // over the (shared, 16-bit-compressed) adjacency updates every frame at
-// once and the inner loops auto-vectorize across lanes, the same trick
-// the clmul Toeplitz kernel plays across words.
+// once, the same trick the clmul Toeplitz kernel plays across words.
+//
+// The kernel works on whole lane vectors: each posterior row (int16) and
+// message row (int8) is one GCC/Clang vector-extension value per
+// register's worth of lanes, so a check-node update costs a handful of
+// packed min/max/xor ops per edge for all frames together. The one
+// kernel body is compiled twice: for the baseline target (SSE2 on x86-64,
+// NEON on aarch64; 8 lanes per vector) and, on x86-64, for AVX2 (16 lanes
+// per vector). decode_syndrome_batch runs the AVX2 build when the CPU
+// reports AVX2, chosen once at startup; no build flag is needed.
 //
 // Fixed-point format: LLRs carry 3 fractional bits (scale 8) and saturate
 // at +-127, so the "known" magnitude kKnownLlr (64.0) pins to the rail.
@@ -20,10 +28,9 @@
 // - the decode-equivalence property the reconcile_batch tests pin down,
 // and what lets the blind reconciliation layer account leakage the same
 // way on both paths. Convergence is checked per frame each iteration:
-// hard decisions are lane-packed into one word per variable, syndromes
-// XOR-fold per check, and lanes leave the `unresolved` mask (and stop
-// costing anything but a skipped store) as soon as their syndrome
-// matches.
+// each check XOR-folds its posteriors' sign bits into its syndrome bits,
+// all lanes at once, and a frame leaves the `unresolved` mask (its hard
+// decision snapshotted) as soon as no check is left violated.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,20 @@
 // Batched quantized reconciliation: the decode-equivalence property (a
-// frame decodes bit-identically alone or inside any batch), batch key
+// frame decodes bit-identically alone or inside any batch, at every lane
+// width, on every instruction-set build of the kernel the host runs), the
+// kernel's output pinned to a digest of the kernel it replaced, batch key
 // reconciliation vs the sequential single-frame reference (corrected
 // payloads AND leak accounting), the blind-vs-fixed-rate disclosure
 // ordering on a quiet channel, and the batched planner's shape.
 #include "reconcile/batch_decoder.hpp"
+#include "reconcile/min_sum_isa.hpp"
 #include "reconcile/reconciler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,21 +33,22 @@ BitVec corrupt(const BitVec& key, double q, Xoshiro256& rng) {
 
 // --- kernel-level equivalence -------------------------------------------
 
-// Decoding a frame inside a batch must be bit-identical to decoding it as
-// a one-job batch: every lane's arithmetic is independent, so batching is
-// purely a layout transform. 11 jobs force a partial lane word.
-TEST(BatchDecoder, BatchEqualsSingleFrameBitExact) {
-  const LdpcCode code = LdpcCode::peg(1024, 512, DegreeProfile::regular(3), 1);
-  constexpr std::size_t kJobs = 11;
-  Xoshiro256 rng(42);
-
+// A seeded set of frames for `code`: frame j runs at QBER 1-9% (cycling),
+// so a batch mixes instant converges with stragglers and likely failures,
+// and carries punctured (erasure) and pinned (known) positions, the two
+// rate-adaptation LLR classes.
+struct FrameSet {
   std::vector<BitVec> syndromes;
   std::vector<std::vector<float>> llrs;
-  for (std::size_t j = 0; j < kJobs; ++j) {
+};
+
+FrameSet make_frames(const LdpcCode& code, std::size_t count,
+                     std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  FrameSet set;
+  for (std::size_t j = 0; j < count; ++j) {
     const BitVec x = rng.random_bits(code.n());
-    syndromes.push_back(code.syndrome(x));
-    // Vary the noise per job so the batch mixes instant converges with
-    // stragglers and (at 9%) likely failures.
+    set.syndromes.push_back(code.syndrome(x));
     const double q = 0.01 + 0.01 * static_cast<double>(j % 9);
     const BitVec noisy = corrupt(x, q, rng);
     std::vector<float> llr(code.n());
@@ -49,40 +56,137 @@ TEST(BatchDecoder, BatchEqualsSingleFrameBitExact) {
     for (std::size_t v = 0; v < code.n(); ++v) {
       llr[v] = noisy.get(v) ? -mag : mag;
     }
-    // Sprinkle punctured (erasure) and pinned (known) positions, the two
-    // rate-adaptation LLR classes.
-    for (std::size_t v = j; v < code.n(); v += 37) llr[v] = 0.0f;
-    for (std::size_t v = j + 5; v < code.n(); v += 53) {
+    for (std::size_t v = j % 37; v < code.n(); v += 37) llr[v] = 0.0f;
+    for (std::size_t v = j % 53 + 5; v < code.n(); v += 53) {
       llr[v] = x.get(v) ? -kKnownLlr : kKnownLlr;
     }
-    llrs.push_back(std::move(llr));
+    set.llrs.push_back(std::move(llr));
   }
+  return set;
+}
+
+std::vector<QuantDecodeJob> jobs_of(const FrameSet& set, std::size_t first,
+                                    std::size_t count) {
+  std::vector<QuantDecodeJob> jobs(count);
+  for (std::size_t j = 0; j < count; ++j) {
+    jobs[j].syndrome = &set.syndromes[first + j];
+    jobs[j].llr = &set.llrs[first + j];
+  }
+  return jobs;
+}
+
+std::string isa_name(detail::MinSumIsa isa) {
+  return isa == detail::MinSumIsa::kAvx2 ? "avx2" : "portable";
+}
+
+// Every instantiation of the kernel, run where the host can execute it.
+const auto kIsas = ::testing::Values(detail::MinSumIsa::kPortable,
+                                     detail::MinSumIsa::kAvx2);
+
+// Job counts that select each lane width: 4, 8, 16, 32 and 64 lanes.
+constexpr std::size_t kJobCounts[] = {1, 6, 11, 23, 64};
+
+// Decoding a frame inside a batch must be bit-identical to decoding it as
+// a one-job batch: every lane's arithmetic is independent, so batching is
+// purely a layout transform. Every job count but 64 leaves pad lanes.
+using IsaAndJobCount = std::tuple<detail::MinSumIsa, std::size_t>;
+class BatchDecoder : public ::testing::TestWithParam<IsaAndJobCount> {};
+
+TEST_P(BatchDecoder, BatchEqualsSingleFrameBitExact) {
+  const auto [isa, count] = GetParam();
+  if (!detail::min_sum_isa_available(isa)) {
+    GTEST_SKIP() << isa_name(isa) << " kernel not runnable on this CPU";
+  }
+  const LdpcCode code = LdpcCode::peg(1024, 512, DegreeProfile::regular(3), 1);
+  const FrameSet set = make_frames(code, count, 42);
 
   DecoderConfig config;
   config.max_iterations = 30;
-  std::vector<QuantDecodeJob> jobs(kJobs);
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    jobs[j].syndrome = &syndromes[j];
-    jobs[j].llr = &llrs[j];
-  }
+  const std::vector<QuantDecodeJob> jobs = jobs_of(set, 0, count);
   std::vector<DecodeResult> batch;
-  decode_syndrome_batch(code, jobs, config, batch);
-  ASSERT_EQ(batch.size(), kJobs);
+  detail::decode_syndrome_batch_on(isa, code, jobs, config, batch);
+  ASSERT_EQ(batch.size(), count);
 
-  std::size_t converged = 0;
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    const DecodeResult single =
-        decode_syndrome_quant(code, syndromes[j], llrs[j], config);
-    EXPECT_EQ(batch[j].converged, single.converged) << "job " << j;
-    EXPECT_EQ(batch[j].iterations, single.iterations) << "job " << j;
-    if (batch[j].converged && single.converged) {
-      EXPECT_EQ(batch[j].word, single.word) << "job " << j;
-      EXPECT_TRUE(code.syndrome_matches(batch[j].word, syndromes[j]));
-      ++converged;
+  std::vector<DecodeResult> single;
+  for (std::size_t j = 0; j < count; ++j) {
+    detail::decode_syndrome_batch_on(isa, code, {&jobs[j], 1}, config, single);
+    EXPECT_EQ(batch[j].converged, single[0].converged) << "job " << j;
+    EXPECT_EQ(batch[j].iterations, single[0].iterations) << "job " << j;
+    EXPECT_EQ(batch[j].word, single[0].word) << "job " << j;
+    if (j % 9 < 4) {
+      // QBER <= 4% on a rate-0.5 code: the quiet jobs must decode.
+      EXPECT_TRUE(batch[j].converged) << "job " << j;
+    }
+    if (batch[j].converged) {
+      EXPECT_TRUE(code.syndrome_matches(batch[j].word, set.syndromes[j]));
     }
   }
-  EXPECT_GE(converged, 5u);  // the quiet jobs must actually decode
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    IsaByLanes, BatchDecoder,
+    ::testing::Combine(kIsas, ::testing::ValuesIn(kJobCounts)),
+    [](const auto& info) {
+      return isa_name(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param)) + "jobs";
+    });
+
+// FNV-1a, fed 64 bits at a time.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (x >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The kernel's output on a fixed seeded set, pinned to the value the
+// auto-vectorized per-lane kernel it replaced produced: code 6 (n = 4096,
+// rate 0.75, the code the 10 km blocks decode) and a PEG n = 1024 code,
+// decoded in consecutive batches of every job count above, at 20
+// iterations as the reconcile stage caps them. Every frame's converged
+// flag, iteration count and hard decision goes into the digest.
+class KernelDigest : public ::testing::TestWithParam<detail::MinSumIsa> {};
+
+TEST_P(KernelDigest, MatchesParentKernelDigest) {
+  const detail::MinSumIsa isa = GetParam();
+  if (!detail::min_sum_isa_available(isa)) {
+    GTEST_SKIP() << isa_name(isa) << " kernel not runnable on this CPU";
+  }
+  const LdpcCode peg1024 =
+      LdpcCode::peg(1024, 512, DegreeProfile::regular(3), 7);
+  DecoderConfig config;
+  config.max_iterations = 20;
+
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t converged = 0;
+  std::size_t frames = 0;
+  for (const LdpcCode* code : {&code_by_id(6), &peg1024}) {
+    const FrameSet set = make_frames(*code, 105, code->n());
+    std::size_t first = 0;
+    for (const std::size_t count : kJobCounts) {
+      std::vector<DecodeResult> results;
+      detail::decode_syndrome_batch_on(isa, *code, jobs_of(set, first, count),
+                                       config, results);
+      for (const DecodeResult& r : results) {
+        digest = fnv1a(digest, r.converged ? 1u : 0u);
+        digest = fnv1a(digest, r.iterations);
+        for (const std::uint64_t w : r.word.words()) digest = fnv1a(digest, w);
+        converged += r.converged ? 1 : 0;
+        ++frames;
+      }
+      first += count;
+    }
+  }
+  EXPECT_EQ(frames, 210u);
+  EXPECT_GT(converged, 60u);
+  EXPECT_LT(converged, frames) << "the noisiest frames must fail";
+  EXPECT_EQ(digest, 0xe84104af9136d604ULL) << std::hex << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, KernelDigest, kIsas, [](const auto& info) {
+  return isa_name(info.param);
+});
 
 // --- key-level equivalence over a (seed, QBER) grid ---------------------
 
