@@ -122,16 +122,28 @@ std::vector<std::uint32_t> Xoshiro256::sample_without_replacement(
       const auto candidate = static_cast<std::uint32_t>(uniform(n));
       if (seen.insert(candidate).second) out.push_back(candidate);
     }
-  } else {
-    std::vector<std::uint32_t> pool(n);
-    std::iota(pool.begin(), pool.end(), 0u);
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j = i + static_cast<std::size_t>(uniform(n - i));
-      std::swap(pool[i], pool[j]);
-      out.push_back(pool[i]);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  std::vector<std::uint32_t> pool(n);
+  std::iota(pool.begin(), pool.end(), 0u);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(uniform(n - i));
+    std::swap(pool[i], pool[j]);
+  }
+  // Read the chosen prefix back in ascending order through a bitmap: the
+  // set is at least a twentieth of [0, n), so n/64 words beat a sort.
+  BitVec chosen(n);
+  auto words = chosen.mutable_words();
+  for (std::size_t i = 0; i < k; ++i) {
+    words[pool[i] >> 6] |= std::uint64_t{1} << (pool[i] & 63);
+  }
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<std::uint32_t>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

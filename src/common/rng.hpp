@@ -54,7 +54,8 @@ class Xoshiro256 {
   /// The identity permutation on n elements, shuffled.
   std::vector<std::uint32_t> permutation(std::size_t n) noexcept;
 
-  /// k distinct indices from [0, n), sorted ascending (partial Fisher-Yates).
+  /// k distinct indices from [0, n), sorted ascending (rejection against a
+  /// hash set for small k, partial Fisher-Yates otherwise).
   std::vector<std::uint32_t> sample_without_replacement(std::size_t n,
                                                         std::size_t k);
 

@@ -46,13 +46,16 @@ std::vector<std::uint32_t> choose_pe_positions(const SignalSplit& split,
                                                Xoshiro256& rng) {
   const auto sample_size = static_cast<std::size_t>(
       fraction * static_cast<double>(split.signal_positions.size()));
-  std::vector<std::uint32_t> positions = split.revealed_positions;
-  positions.reserve(positions.size() + sample_size);
-  for (const auto s : rng.sample_without_replacement(
-           split.signal_positions.size(), sample_size)) {
-    positions.push_back(split.signal_positions[s]);
-  }
-  std::sort(positions.begin(), positions.end());
+  // The sample indices come back ascending and signal_positions is
+  // ascending, so the sampled positions are too: merging them with the
+  // (ascending, disjoint) revealed positions gives the sorted union.
+  std::vector<std::uint32_t> sampled = rng.sample_without_replacement(
+      split.signal_positions.size(), sample_size);
+  for (auto& s : sampled) s = split.signal_positions[s];
+  std::vector<std::uint32_t> positions(split.revealed_positions.size() +
+                                       sampled.size());
+  std::merge(split.revealed_positions.begin(), split.revealed_positions.end(),
+             sampled.begin(), sampled.end(), positions.begin());
   return positions;
 }
 

@@ -223,6 +223,9 @@ SessionResult run_alice_session(ClassicalChannel& channel,
             throw AbortSignal{abort->detail};
           }
           if (auto* blind = std::get_if<BlindRequest>(&message)) {
+            if (blind->round == 0) {
+              throw_error(ErrorCode::kProtocol, "blind round out of range");
+            }
             const auto chunk = sender.reveal_chunk(
                 blind->round, config.ldpc.max_blind_rounds);
             BlindResponse response;
@@ -254,8 +257,9 @@ SessionResult run_alice_session(ClassicalChannel& channel,
       start.qber_hint = qber_hint;
       send_msg(channel, start);
 
-      const reconcile::CascadeResponder responder(key, perm_seed,
-                                                  config.cascade.passes);
+      const reconcile::CascadeResponder responder(
+          key, reconcile::cascade_permutations(key.size(), perm_seed,
+                                               config.cascade.passes));
       for (;;) {
         Message message = protocol::decode_message(channel.receive());
         if (auto* abort = std::get_if<Abort>(&message)) {
@@ -265,11 +269,22 @@ SessionResult run_alice_session(ClassicalChannel& channel,
           if (request->range_begins.size() != request->range_ends.size()) {
             throw_error(ErrorCode::kProtocol, "parity request shape");
           }
+          // Pass and ranges come off the wire; the responder only asserts
+          // them.
+          if (request->pass >= responder.passes()) {
+            throw_error(ErrorCode::kProtocol,
+                        "parity request pass out of range");
+          }
           std::vector<reconcile::ParityRange> ranges;
           ranges.reserve(request->range_begins.size());
           for (std::size_t i = 0; i < request->range_begins.size(); ++i) {
-            ranges.push_back(
-                {request->range_begins[i], request->range_ends[i]});
+            const reconcile::ParityRange range{request->range_begins[i],
+                                               request->range_ends[i]};
+            if (range.begin > range.end || range.end > responder.key_size()) {
+              throw_error(ErrorCode::kProtocol,
+                          "parity request range out of bounds");
+            }
+            ranges.push_back(range);
           }
           ParityResponse response;
           response.block_id = block_id;

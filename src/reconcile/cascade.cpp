@@ -27,9 +27,16 @@ namespace {
 class CascadeEngine {
  public:
   CascadeEngine(BitVec& key, ParityOracle& oracle,
-                const CascadeConfig& config)
-      : key_(key), oracle_(oracle), config_(config), n_(key.size()) {
+                const CascadeConfig& config,
+                std::span<const std::vector<std::uint32_t>> permutations)
+      : key_(key),
+        oracle_(oracle),
+        config_(config),
+        perm_(permutations),
+        n_(key.size()) {
     QKDPP_REQUIRE(n_ > 0, "cascade on empty key");
+    QKDPP_REQUIRE(perm_.size() >= config.passes,
+                  "fewer permutations than cascade passes");
     const std::uint32_t cap = std::min<std::uint32_t>(
         config.initial_block_cap, static_cast<std::uint32_t>(n_));
     // Cap later passes at n/2: a single whole-key block can never split a
@@ -42,7 +49,7 @@ class CascadeEngine {
       block_size_[p] = static_cast<std::uint32_t>(std::min<std::uint64_t>(
           std::uint64_t{block_size_[p - 1]} * 2, half));
     }
-    perm_.resize(config.passes);
+    permuted_.resize(config.passes);
     inv_.resize(config.passes);
     odd_.resize(config.passes);
   }
@@ -72,14 +79,9 @@ class CascadeEngine {
     return {static_cast<std::uint32_t>(begin), static_cast<std::uint32_t>(end)};
   }
 
-  /// Bob's parity over a permuted-domain range, straight off the live key.
+  /// Bob's parity over a permuted-domain range of the live key.
   bool local_parity(std::uint32_t pass, ParityRange range) const {
-    bool acc = false;
-    const auto& perm = perm_[pass];
-    for (std::uint32_t j = range.begin; j < range.end; ++j) {
-      acc ^= key_.get(perm[j]);
-    }
-    return acc;
+    return permuted_[pass].parity_range(range.begin, range.end);
   }
 
   BitVec query(std::uint32_t pass, std::span<const ParityRange> ranges) {
@@ -89,9 +91,11 @@ class CascadeEngine {
   }
 
   void begin_pass(std::uint32_t pass) {
-    perm_[pass] = cascade_permutation(n_, config_.seed, pass);
+    const auto& perm = perm_[pass];
+    QKDPP_REQUIRE(perm.size() == n_, "permutation does not match key length");
+    permuted_[pass] = key_.gather(perm);
     inv_[pass].resize(n_);
-    for (std::uint32_t j = 0; j < n_; ++j) inv_[pass][perm_[pass][j]] = j;
+    for (std::uint32_t j = 0; j < n_; ++j) inv_[pass][perm[j]] = j;
 
     const std::uint32_t blocks = blocks_in_pass(pass);
     std::vector<ParityRange> ranges;
@@ -107,14 +111,15 @@ class CascadeEngine {
     }
   }
 
-  /// A correction at original index flips the parity-diff flag of its block
-  /// in every initialized pass.
+  /// A correction at original index flips that bit in every started pass's
+  /// permuted copy, and the parity-diff flag of its block there.
   void apply_correction(std::uint32_t original, std::uint32_t up_to_pass) {
     key_.flip(original);
     ++corrected_;
     for (std::uint32_t p = 0; p <= up_to_pass; ++p) {
-      const std::uint32_t b = inv_[p][original] / block_size_[p];
-      odd_[p][b] ^= 1;
+      const std::uint32_t j = inv_[p][original];
+      permuted_[p].flip(j);
+      odd_[p][j / block_size_[p]] ^= 1;
     }
   }
 
@@ -188,9 +193,11 @@ class CascadeEngine {
   BitVec& key_;
   ParityOracle& oracle_;
   const CascadeConfig& config_;
+  std::span<const std::vector<std::uint32_t>> perm_;
   std::size_t n_;
   std::vector<std::uint32_t> block_size_;
-  std::vector<std::vector<std::uint32_t>> perm_;
+  /// Per started pass: the key as permuted for it, kept in step with key_.
+  std::vector<BitVec> permuted_;
   std::vector<std::vector<std::uint32_t>> inv_;
   std::vector<std::vector<std::uint8_t>> odd_;
   CascadeResult result_;
@@ -199,11 +206,19 @@ class CascadeEngine {
 
 }  // namespace
 
+CascadeResult cascade_reconcile(
+    BitVec& bob_key, ParityOracle& oracle, const CascadeConfig& config,
+    std::span<const std::vector<std::uint32_t>> permutations) {
+  QKDPP_REQUIRE(config.passes >= 1, "cascade needs at least one pass");
+  CascadeEngine engine(bob_key, oracle, config, permutations);
+  return engine.run();
+}
+
 CascadeResult cascade_reconcile(BitVec& bob_key, ParityOracle& oracle,
                                 const CascadeConfig& config) {
-  QKDPP_REQUIRE(config.passes >= 1, "cascade needs at least one pass");
-  CascadeEngine engine(bob_key, oracle, config);
-  return engine.run();
+  return cascade_reconcile(
+      bob_key, oracle, config,
+      cascade_permutations(bob_key.size(), config.seed, config.passes));
 }
 
 }  // namespace qkdpp::reconcile

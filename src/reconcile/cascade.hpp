@@ -7,9 +7,17 @@
 // level-synchronously so a batch of parity queries costs one round-trip -
 // the batching that makes Cascade deployable over real links and that the
 // round-count benches measure.
+//
+// Bob keeps one packed copy of his key per started pass, gathered through
+// that pass's permutation when the pass begins and flipped at the permuted
+// position of every correction, so each of his range parities is a word
+// scan (BitVec::parity_range) rather than a per-bit walk through the
+// permutation.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/bitvec.hpp"
 #include "reconcile/parity_oracle.hpp"
@@ -49,7 +57,14 @@ struct CascadeResult {
 std::uint32_t cascade_block_size(double qber, std::uint32_t cap);
 
 /// Run Cascade, correcting `bob_key` in place toward Alice's key behind the
-/// oracle. The oracle's pass count must be >= config.passes.
+/// oracle. `permutations` must hold at least config.passes permutations of
+/// [0, bob_key.size()), the ones the oracle answers for (config.seed is not
+/// read). The oracle's pass count must be >= config.passes.
+CascadeResult cascade_reconcile(
+    BitVec& bob_key, ParityOracle& oracle, const CascadeConfig& config,
+    std::span<const std::vector<std::uint32_t>> permutations);
+
+/// As above, with the permutations derived from config.seed.
 CascadeResult cascade_reconcile(BitVec& bob_key, ParityOracle& oracle,
                                 const CascadeConfig& config);
 

@@ -21,19 +21,45 @@ std::vector<std::uint32_t> cascade_permutation(std::size_t n,
   return rng.permutation(n);
 }
 
-CascadeResponder::CascadeResponder(const BitVec& alice_key, std::uint64_t seed,
-                                   std::uint32_t passes)
-    : n_(alice_key.size()) {
-  QKDPP_REQUIRE(passes >= 1, "cascade needs at least one pass");
-  prefix_.reserve(passes);
+CascadePermutations cascade_permutations(std::size_t n, std::uint64_t seed,
+                                         std::uint32_t passes) {
+  CascadePermutations permutations;
+  permutations.reserve(passes);
   for (std::uint32_t pass = 0; pass < passes; ++pass) {
-    const auto perm = cascade_permutation(n_, seed, pass);
+    permutations.push_back(cascade_permutation(n, seed, pass));
+  }
+  return permutations;
+}
+
+CascadeResponder::CascadeResponder(
+    const BitVec& alice_key,
+    std::span<const std::vector<std::uint32_t>> permutations)
+    : n_(alice_key.size()) {
+  QKDPP_REQUIRE(!permutations.empty(), "cascade needs at least one pass");
+  prefix_.reserve(permutations.size());
+  for (const auto& perm : permutations) {
+    QKDPP_REQUIRE(perm.size() == n_, "permutation does not match key length");
+    const BitVec permuted = alice_key.gather(perm);
+    // Bit j+1 of the prefix vector is the parity of permuted bits [0, j].
     BitVec prefix(n_ + 1);
-    bool acc = false;
-    for (std::size_t j = 0; j < n_; ++j) {
-      acc ^= alice_key.get(perm[j]);
-      if (acc) prefix.set(j + 1, true);
+    const auto in = permuted.words();
+    const auto out = prefix.mutable_words();
+    std::uint64_t carry = 0;  // parity of all earlier words, as 0 or ~0
+    for (std::size_t w = 0; w < in.size(); ++w) {
+      std::uint64_t x = in[w];
+      x ^= x << 1;
+      x ^= x << 2;
+      x ^= x << 4;
+      x ^= x << 8;
+      x ^= x << 16;
+      x ^= x << 32;
+      x ^= carry;
+      out[w] |= x << 1;
+      if (w + 1 < out.size()) out[w + 1] |= x >> 63;
+      carry = std::uint64_t{0} - (x >> 63);
     }
+    // The scan carried the total parity into the padding above bit n.
+    prefix.resize(n_ + 1);
     prefix_.push_back(std::move(prefix));
   }
 }

@@ -5,6 +5,14 @@
 // oracle lets the same Cascade engine run in-process (benches, tests) and
 // over the authenticated classical channel (sessions) - and makes leakage
 // accounting exact: every parity bit crossing the oracle is one leaked bit.
+//
+// Both sides work on whole 64-bit words. Alice keeps, per pass, the prefix
+// parities of her permuted key: one BitVec::gather through the pass
+// permutation, then an in-register prefix XOR per word (x ^= x << 1, 2, 4,
+// ..., 32) with the running parity carried into the next word, so any range
+// parity is two bit reads. In-process runs (cascade_reconcile_local) derive
+// each pass permutation once and hand the same vectors to both sides; the
+// two session peers each derive their own from the seed on the wire.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +30,10 @@ struct ParityRange {
   std::uint32_t end;
 };
 
+/// One permutation per pass: entry j of pass p is the original key index
+/// that lands at permuted position j.
+using CascadePermutations = std::vector<std::vector<std::uint32_t>>;
+
 class ParityOracle {
  public:
   virtual ~ParityOracle() = default;
@@ -33,13 +45,16 @@ class ParityOracle {
 };
 
 /// Alice-side parity computation shared by the local oracle and the remote
-/// session responder. Permutations are derived from (seed, pass); pass 0 is
-/// the identity, as in standard Cascade.
+/// session responder.
 class CascadeResponder {
  public:
-  CascadeResponder(const BitVec& alice_key, std::uint64_t seed,
-                   std::uint32_t passes);
+  /// `permutations` holds one permutation of [0, alice_key.size()) per pass
+  /// (at least one pass).
+  CascadeResponder(const BitVec& alice_key,
+                   std::span<const std::vector<std::uint32_t>> permutations);
 
+  /// Requires pass < passes() and begin <= end <= key_size() for every
+  /// range; callers serving untrusted requests check both first.
   BitVec parities(std::uint32_t pass,
                   std::span<const ParityRange> ranges) const;
 
@@ -56,17 +71,26 @@ class CascadeResponder {
 };
 
 /// Derive the pass-`pass` permutation for key length n from the session
-/// seed. Both sides must call this with identical arguments.
+/// seed; pass 0 is the identity, as in standard Cascade. Both sides must
+/// call this with identical arguments.
 std::vector<std::uint32_t> cascade_permutation(std::size_t n,
                                                std::uint64_t seed,
                                                std::uint32_t pass);
 
+/// The permutations of passes [0, passes) for key length n.
+CascadePermutations cascade_permutations(std::size_t n, std::uint64_t seed,
+                                         std::uint32_t passes);
+
 /// In-process oracle with exact accounting (used by tests and benches).
 class LocalParityOracle final : public ParityOracle {
  public:
+  LocalParityOracle(const BitVec& alice_key,
+                    std::span<const std::vector<std::uint32_t>> permutations)
+      : responder_(alice_key, permutations) {}
   LocalParityOracle(const BitVec& alice_key, std::uint64_t seed,
                     std::uint32_t passes)
-      : responder_(alice_key, seed, passes) {}
+      : LocalParityOracle(
+            alice_key, cascade_permutations(alice_key.size(), seed, passes)) {}
 
   BitVec parities(std::uint32_t pass,
                   std::span<const ParityRange> ranges) override {

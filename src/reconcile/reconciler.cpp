@@ -274,9 +274,13 @@ ReconcileOutcome cascade_reconcile_local(const BitVec& alice_key,
                                          const CascadeConfig& config) {
   QKDPP_REQUIRE(alice_key.size() == bob_key.size(),
                 "cascade keys must have equal length");
-  LocalParityOracle oracle(alice_key, config.seed, config.passes);
+  // One set of permutations serves both sides.
+  const CascadePermutations permutations =
+      cascade_permutations(alice_key.size(), config.seed, config.passes);
+  LocalParityOracle oracle(alice_key, permutations);
   BitVec corrected = bob_key;
-  const CascadeResult result = cascade_reconcile(corrected, oracle, config);
+  const CascadeResult result =
+      cascade_reconcile(corrected, oracle, config, permutations);
 
   ReconcileOutcome outcome;
   outcome.corrected = std::move(corrected);

@@ -147,7 +147,8 @@ BatchReconcileStats ldpc_reconcile_key_batch(
     std::vector<ReconcileOutcome>* per_frame = nullptr);
 
 /// Run Cascade in-process; thin wrapper pairing the engine with a local
-/// oracle and translating to ReconcileOutcome.
+/// oracle (both given the same pass permutations, derived once from
+/// config.seed) and translating to ReconcileOutcome.
 ReconcileOutcome cascade_reconcile_local(const BitVec& alice_key,
                                          const BitVec& bob_key, double qber,
                                          const CascadeConfig& config);

@@ -140,6 +140,38 @@ TEST(Rng, SampleWithoutReplacementDistinctSorted) {
   }
 }
 
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (x >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins the exact samples (and the draws they consume, via the next value
+// off the stream) of both branches: the digest came from this test body
+// linked against the sort-based read-back.
+TEST(Rng, SampleWithoutReplacementMatchesParent) {
+  struct Case {
+    std::size_t n;
+    std::size_t k;
+  };
+  const Case cases[] = {
+      {100000, 100}, {1000, 1},   {37000, 1849},  // hash-set branch
+      {1000, 300},   {64, 10},    {65, 65},       // partial Fisher-Yates
+      {37000, 3700}, {4097, 205}, {1, 1}};
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    Xoshiro256 rng(40 + c);
+    const auto s = rng.sample_without_replacement(cases[c].n, cases[c].k);
+    ASSERT_EQ(s.size(), cases[c].k);
+    EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
+    for (const auto x : s) digest = fnv1a(digest, x);
+    digest = fnv1a(digest, rng.next_u64());
+  }
+  EXPECT_EQ(digest, 0x250590c7879c48feULL) << std::hex << digest;
+}
+
 TEST(Rng, SampleMoreThanPopulationThrows) {
   Xoshiro256 rng(17);
   EXPECT_THROW(rng.sample_without_replacement(5, 6), std::invalid_argument);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -150,7 +151,11 @@ TEST(ThreadPool, WorkStealingDrainsAnUnbalancedLoad) {
   for (int i = 0; i < 200; ++i) {
     futures.push_back(pool.submit([&counter] { ++counter; }));
   }
-  for (int spin = 0; counter.load() < 200 && spin < 10000; ++spin) {
+  // Wait on wall time, not a spin count: under a sanitizer on a loaded
+  // host the thieves can take far longer than any fixed number of yields.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (counter.load() < 200 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   EXPECT_EQ(counter.load(), 200)

@@ -252,6 +252,59 @@ TEST(PostprocessEngine, CascadeRoundExhaustionAbortsBlock) {
   EXPECT_GT(ok.final_key_bits, 0u);
 }
 
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (x >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins sift, PE sampling, reconcile and PA on both reconcile paths to the
+// per-bit host stages: the digest came from this test body linked against
+// them. LDPC blocks at 10 km, then Cascade blocks at 25 km with the
+// misalignment that makes adapt_to_qber switch methods.
+TEST(PostprocessEngine, FinalKeyDigestMatchesParent) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t successes = 0;
+  const auto fold = [&](const BlockOutcome& outcome) {
+    successes += outcome.success ? 1 : 0;
+    digest = fnv1a(digest, outcome.success ? 1u : 0u);
+    digest = fnv1a(digest, outcome.sifted_bits);
+    digest = fnv1a(digest, outcome.pe_sample_bits);
+    digest = fnv1a(digest, outcome.leak_ec_bits);
+    digest = fnv1a(digest, outcome.reconcile_rounds);
+    digest = fnv1a(digest, outcome.final_key.size());
+    for (const std::uint64_t w : outcome.final_key.words()) {
+      digest = fnv1a(digest, w);
+    }
+  };
+
+  PostprocessEngine ldpc(metro_params(), EngineOptions::cpu_only());
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    const BlockInput input = metro_input(20 + b, 60 + b);
+    Xoshiro256 rng(80 + b);
+    fold(ldpc.process_block(input, 20 + b, rng));
+  }
+
+  PostprocessEngine cascade(metro_params(), EngineOptions::cpu_only());
+  ASSERT_TRUE(cascade.adapt_to_qber(0.049));
+  ASSERT_EQ(cascade.params().method, protocol::ReconcileMethod::kCascade);
+  sim::LinkConfig link;
+  link.channel.length_km = 25.0;
+  link.channel.misalignment = 0.045;
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    Xoshiro256 sim_rng(90 + b);
+    const auto record =
+        sim::Bb84Simulator(link).run(std::size_t{3} << 20, sim_rng);
+    const BlockInput input = make_block_input(record, 30 + b);
+    Xoshiro256 rng(100 + b);
+    fold(cascade.process_block(input, 30 + b, rng));
+  }
+  EXPECT_EQ(successes, 6u);
+  EXPECT_EQ(digest, 0x5598afbf412fd6dcULL) << std::hex << digest;
+}
+
 TEST(PostprocessParams, SharedByOfflineAndSessionConfigs) {
   static_assert(
       std::is_base_of_v<PostprocessParams, pipeline::OfflineConfig>,

@@ -7,6 +7,7 @@
 
 #include <future>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "common/error.hpp"
@@ -326,6 +327,109 @@ INSTANTIATE_TEST_SUITE_P(ReconcileFields, HostileAlice,
                                            HostileField::kBlindShape,
                                            HostileField::kBlindPosition,
                                            HostileField::kNanQberHint));
+
+// Reconcile-stage fields a hostile Bob can put on the wire.
+enum class HostileRequest {
+  kPass,        // Cascade: pass 99, Alice derived only cascade.passes
+  kRangeEnd,    // Cascade: range end 2^30, far past the key
+  kRangeOrder,  // Cascade: begin 5 > end 1
+  kBlindRound,  // LDPC: blind round 0 (rounds are 1-based)
+};
+
+// A scripted Bob: honest through sifting and estimation, then sends one
+// hostile request. Alice must end the session with a typed protocol fault
+// instead of letting a precondition of the parity responder or the frame
+// sender escape untyped.
+class HostileBob : public ::testing::TestWithParam<HostileRequest> {};
+
+TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
+  const HostileRequest field = GetParam();
+  const auto data = simulate_link(25.0, 110, 1 << 19);
+  SessionConfig config = metro_session_config();
+  if (field != HostileRequest::kBlindRound) {
+    config.method = protocol::ReconcileMethod::kCascade;
+  }
+  auto [alice_channel, bob_channel] = protocol::make_channel_pair();
+
+  protocol::ClassicalChannel& ch = *bob_channel;
+  const auto play = [&] {
+    const auto send = [&ch](const protocol::Message& message) {
+      ch.send(protocol::encode_message(message));
+    };
+    const auto receive = [&ch] {
+      return protocol::decode_message(ch.receive());
+    };
+    protocol::DetectionReport report;
+    report.block_id = 1;
+    report.n_pulses = data.bob.n_pulses;
+    report.detected_idx = data.bob.detected_idx;
+    report.bob_bases = data.bob.bases;
+    send(report);
+    const auto sift = std::get<protocol::SiftResult>(receive());
+    const BitVec sifted = protocol::sift_bob(data.bob.bits, sift);
+    const auto reveal = std::get<protocol::PeReveal>(receive());
+    protocol::PeReport pe_report;
+    pe_report.block_id = 1;
+    for (const auto p : reveal.positions) {
+      pe_report.bob_bits.push_back(sifted.get(p));
+    }
+    send(pe_report);
+    if (!std::get<protocol::PeVerdict>(receive()).proceed) {
+      throw std::runtime_error("honest estimation must proceed");
+    }
+    (void)std::get<protocol::ReconcileStart>(receive());
+    if (field == HostileRequest::kBlindRound) {
+      send(protocol::BlindRequest{1, 0});
+      return;
+    }
+
+    protocol::ParityRequest request;
+    request.block_id = 1;
+    request.range_begins = {0};
+    request.range_ends = {1};
+    switch (field) {
+      case HostileRequest::kPass:
+        request.pass = 99;
+        break;
+      case HostileRequest::kRangeEnd:
+        request.range_ends = {std::uint32_t{1} << 30};
+        break;
+      case HostileRequest::kRangeOrder:
+        request.range_begins = {5};
+        request.range_ends = {1};
+        break;
+      case HostileRequest::kBlindRound:
+        break;
+    }
+    send(request);
+  };
+  // Closing Bob's end when the script stops means an Alice that wanted more
+  // fails on a closed channel instead of waiting forever.
+  auto bob = std::async(std::launch::async, [&] {
+    try {
+      play();
+    } catch (...) {
+      ch.close();
+      throw;
+    }
+    ch.close();
+  });
+
+  Xoshiro256 rng(777);
+  const SessionResult alice =
+      run_alice_session(*alice_channel, data.alice_log, 1, config, rng);
+  bob.get();
+  EXPECT_FALSE(alice.success);
+  ASSERT_TRUE(alice.fault_code.has_value()) << alice.abort_reason;
+  EXPECT_EQ(*alice.fault_code, ErrorCode::kProtocol) << alice.abort_reason;
+  EXPECT_TRUE(alice.final_key.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(ReconcileRequests, HostileBob,
+                         ::testing::Values(HostileRequest::kPass,
+                                           HostileRequest::kRangeEnd,
+                                           HostileRequest::kRangeOrder,
+                                           HostileRequest::kBlindRound));
 
 }  // namespace
 }  // namespace qkdpp::pipeline

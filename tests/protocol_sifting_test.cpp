@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sim/bb84.hpp"
@@ -81,6 +84,124 @@ TEST(Sifting, EndToEndAgainstSimulator) {
       BitVec::hamming_distance(outcome.sifted_key, bob_sifted);
   EXPECT_EQ(mismatches, stats.total.errors);
   EXPECT_EQ(outcome.sifted_key.size(), stats.total.sifted);
+}
+
+// Reference oracle for sift_alice: the per-detection loop it replaced, one
+// get/push_back per detection. Kept here so the word-at-a-time version is
+// checked against it on random logs and on every error placement.
+AliceSiftOutcome sift_alice_reference(const AliceTransmitLog& log,
+                                      const DetectionReport& report) {
+  const std::size_t n_pulses = log.bits.size();
+  if (log.bases.size() != n_pulses || log.pulse_class.size() != n_pulses) {
+    throw_error(ErrorCode::kProtocol, "inconsistent transmit log");
+  }
+  if (report.bob_bases.size() != report.detected_idx.size()) {
+    throw_error(ErrorCode::kProtocol,
+                "detection report bases/indices shape mismatch");
+  }
+  AliceSiftOutcome out;
+  out.result.block_id = report.block_id;
+  out.result.keep_mask = BitVec(report.detected_idx.size());
+  std::uint32_t previous = 0;
+  bool first = true;
+  for (std::size_t d = 0; d < report.detected_idx.size(); ++d) {
+    const std::uint32_t pulse = report.detected_idx[d];
+    if (pulse >= n_pulses) {
+      throw_error(ErrorCode::kProtocol, "detection index out of range");
+    }
+    if (!first && pulse <= previous) {
+      throw_error(ErrorCode::kProtocol, "detection indices not increasing");
+    }
+    previous = pulse;
+    first = false;
+    if (log.bases.get(pulse) == report.bob_bases.get(d)) {
+      out.result.keep_mask.set(d, true);
+      out.sifted_key.push_back(log.bits.get(pulse));
+      out.result.signal_mask.push_back(log.pulse_class[pulse] == 0);
+    }
+  }
+  return out;
+}
+
+/// A random transmit log and a report of `detections` increasing indices.
+std::pair<AliceTransmitLog, DetectionReport> random_sift_input(
+    std::size_t detections, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const std::size_t n_pulses = 3 * detections + 5;
+  AliceTransmitLog log;
+  log.bits = rng.random_bits(n_pulses);
+  log.bases = rng.random_bits(n_pulses);
+  for (std::size_t i = 0; i < n_pulses; ++i) {
+    log.pulse_class.push_back(static_cast<std::uint8_t>(rng.uniform(3)));
+  }
+  DetectionReport report;
+  report.block_id = seed;
+  report.n_pulses = n_pulses;
+  report.detected_idx = rng.sample_without_replacement(n_pulses, detections);
+  report.bob_bases = rng.random_bits(detections);
+  return {log, report};
+}
+
+/// Runs both sifts; they must agree on the outcome or on the exact error.
+void expect_same_sift(const AliceTransmitLog& log,
+                      const DetectionReport& report, const std::string& what) {
+  std::optional<AliceSiftOutcome> expected;
+  std::string expected_error;
+  try {
+    expected = sift_alice_reference(log, report);
+  } catch (const Error& error) {
+    ASSERT_EQ(error.code(), ErrorCode::kProtocol) << what;
+    expected_error = error.what();
+  }
+  try {
+    const AliceSiftOutcome got = sift_alice(log, report);
+    ASSERT_TRUE(expected.has_value())
+        << what << ": reference threw " << expected_error;
+    EXPECT_EQ(got.result.block_id, expected->result.block_id) << what;
+    EXPECT_EQ(got.result.keep_mask, expected->result.keep_mask) << what;
+    EXPECT_EQ(got.result.signal_mask, expected->result.signal_mask) << what;
+    EXPECT_EQ(got.sifted_key, expected->sifted_key) << what;
+  } catch (const Error& error) {
+    EXPECT_FALSE(expected.has_value()) << what << ": threw " << error.what();
+    EXPECT_EQ(error.code(), ErrorCode::kProtocol) << what;
+    EXPECT_EQ(std::string(error.what()), expected_error) << what;
+  }
+}
+
+TEST(Sifting, WordSiftMatchesPerDetectionReference) {
+  for (const std::size_t detections :
+       {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64},
+        std::size_t{65}, std::size_t{1000}, std::size_t{4097}}) {
+    const auto [log, report] = random_sift_input(detections, 500 + detections);
+    expect_same_sift(log, report, "detections " + std::to_string(detections));
+  }
+
+  // Hostile indices first, mid-word, on both sides of the word boundary
+  // and last in a partial word (100 detections: the second word holds 36).
+  enum class Bad { kOutOfRange, kEqual, kDecreasing };
+  for (const Bad bad : {Bad::kOutOfRange, Bad::kEqual, Bad::kDecreasing}) {
+    for (const std::size_t at :
+         {std::size_t{0}, std::size_t{30}, std::size_t{63}, std::size_t{64},
+          std::size_t{70}, std::size_t{99}}) {
+      auto [log, report] = random_sift_input(100, 600 + at);
+      auto& idx = report.detected_idx;
+      const std::size_t other = at == 0 ? 1 : at - 1;
+      switch (bad) {
+        case Bad::kOutOfRange:
+          idx[at] = static_cast<std::uint32_t>(log.bits.size());
+          break;
+        case Bad::kEqual:
+          idx[at] = idx[other];
+          break;
+        case Bad::kDecreasing:
+          idx[at] = at == 0 ? idx[other] + 1 : idx[other] - 1;
+          break;
+      }
+      expect_same_sift(log, report,
+                       "bad kind " + std::to_string(static_cast<int>(bad)) +
+                           " at " + std::to_string(at));
+    }
+  }
 }
 
 TEST(Sifting, RejectsOutOfRangeIndex) {

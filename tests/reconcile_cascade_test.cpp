@@ -35,20 +35,27 @@ TEST(CascadePermutation, DeterministicAndPassDependent) {
 }
 
 TEST(CascadeResponder, RangeParitiesMatchDirectComputation) {
-  Xoshiro256 rng(1);
-  const BitVec key = rng.random_bits(517);
-  const CascadeResponder responder(key, 99, 3);
-  for (std::uint32_t pass = 0; pass < 3; ++pass) {
-    const auto perm = cascade_permutation(517, 99, pass);
+  // Sizes around the word boundaries: the prefix vector holds n+1 bits, so
+  // ranges ending at n read its tail word.
+  for (const std::uint32_t n : {1u, 63u, 64u, 65u, 517u, 4097u}) {
+    Xoshiro256 rng(n);
+    const BitVec key = rng.random_bits(n);
+    const CascadeResponder responder(key, cascade_permutations(n, 99, 3));
     const std::vector<ParityRange> ranges = {
-        {0, 1}, {0, 517}, {100, 200}, {516, 517}, {7, 7}};
-    const BitVec got = responder.parities(pass, ranges);
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-      bool expected = false;
-      for (std::uint32_t j = ranges[i].begin; j < ranges[i].end; ++j) {
-        expected ^= key.get(perm[j]);
+        {0, 1},     {0, n},         {n / 3, 2 * n / 3}, {n - 1, n},
+        {n / 2, n}, {n / 2, n / 2}, {n, n},             {0, n / 2 + 1}};
+    for (std::uint32_t pass = 0; pass < 3; ++pass) {
+      const auto perm = cascade_permutation(n, 99, pass);
+      const BitVec got = responder.parities(pass, ranges);
+      ASSERT_EQ(got.size(), ranges.size());
+      for (std::size_t i = 0; i < ranges.size(); ++i) {
+        bool expected = false;
+        for (std::uint32_t j = ranges[i].begin; j < ranges[i].end; ++j) {
+          expected ^= key.get(perm[j]);
+        }
+        EXPECT_EQ(got.get(i), expected)
+            << "n " << n << " pass " << pass << " range " << i;
       }
-      EXPECT_EQ(got.get(i), expected) << "pass " << pass << " range " << i;
     }
   }
 }
@@ -251,6 +258,73 @@ TEST(Cascade, NonConvergenceFailsLocalReconcileOutcome) {
   const auto ok = reconcile::cascade_reconcile_local(alice, bob, 0.05, config);
   EXPECT_TRUE(ok.success);
   EXPECT_EQ(ok.corrected, alice);
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (x >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct DigestCase {
+  std::size_t n;
+  double qber;
+  std::uint32_t passes;
+  std::uint64_t max_rounds;
+  bool wrong_seed;  // the oracle answers for another permutation seed
+};
+
+// Pins every parity asked, every correction and every round count to the
+// values the per-bit implementation produced: the digest below came from
+// this test body linked against it. Both entry points run: the engine with
+// a seed-derived LocalParityOracle, and cascade_reconcile_local.
+TEST(CascadeDigest, MatchesParentDigest) {
+  const DigestCase cases[] = {
+      {1000, 0.02, 4, 100000, false},    // n not a multiple of 64
+      {4096, 0.05, 4, 100000, false},
+      {35713, 0.045, 6, 100000, false},  // a noisy-cascade block
+      {20000, 0.09, 8, 100000, false},   // the hot band's 8 passes
+      {4096, 0.05, 6, 8, false},         // round budget exhausted
+      {2048, 0.02, 4, 2000, true},       // desynchronized peer
+  };
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t converged = 0;
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    const DigestCase& dc = cases[c];
+    Xoshiro256 rng(1000 + c);
+    const BitVec alice = rng.random_bits(dc.n);
+    const BitVec bob = corrupt(alice, dc.qber, rng);
+    CascadeConfig config;
+    config.qber_hint = dc.qber;
+    config.seed = 77 + c;
+    config.passes = dc.passes;
+    config.max_rounds = dc.max_rounds;
+
+    BitVec corrected = bob;
+    const std::uint64_t oracle_seed =
+        dc.wrong_seed ? config.seed + 1 : config.seed;
+    LocalParityOracle oracle(alice, oracle_seed, config.passes);
+    const CascadeResult result = cascade_reconcile(corrected, oracle, config);
+    digest = fnv1a(digest, result.rounds);
+    digest = fnv1a(digest, result.leaked_bits);
+    digest = fnv1a(digest, result.corrected_bits);
+    digest = fnv1a(digest, result.converged ? 1u : 0u);
+    for (const std::uint64_t w : corrected.words()) digest = fnv1a(digest, w);
+    converged += result.converged ? 1 : 0;
+
+    const ReconcileOutcome local =
+        cascade_reconcile_local(alice, bob, dc.qber, config);
+    digest = fnv1a(digest, local.rounds);
+    digest = fnv1a(digest, local.leaked_bits);
+    digest = fnv1a(digest, local.success ? 1u : 0u);
+    for (const std::uint64_t w : local.corrected.words()) {
+      digest = fnv1a(digest, w);
+    }
+  }
+  EXPECT_EQ(converged, 4u) << "the exhausted and desynchronized runs fail";
+  EXPECT_EQ(digest, 0xfcbb18d200f0b2c1ULL) << std::hex << digest;
 }
 
 TEST(Cascade, ThrowsOnEmptyKey) {
