@@ -7,7 +7,8 @@
 // and intercontinental (80 ms) links, and reports the modeled classical-
 // channel time each reconciliation family spends. Cascade's many
 // round-trips are free in a lab and crippling across an ocean - the reason
-// one-way LDPC wins WAN deployments despite leaking more.
+// one-way LDPC wins WAN deployments despite leaking more. Exits non-zero if
+// any session aborts or Alice's and Bob's keys differ.
 #include <cstdio>
 #include <future>
 
@@ -46,6 +47,7 @@ int main() {
   std::printf("%26s | %10s | %8s %8s %12s | %10s\n", "classical channel",
               "method", "key bits", "msgs", "chan time", "leak");
 
+  bool all_ok = true;
   for (const auto& scenario : scenarios) {
     for (const auto method : {protocol::ReconcileMethod::kLdpc,
                               protocol::ReconcileMethod::kCascade}) {
@@ -66,11 +68,15 @@ int main() {
           pipeline::run_bob_session(*bob_channel, bob_view, config);
       const auto alice = alice_future.get();
 
-      if (!alice.success || !bob.success) {
-        std::printf("%26s | %10s | aborted: %s\n", scenario.name,
+      if (!alice.success || !bob.success ||
+          alice.final_key != bob.final_key) {
+        std::printf("%26s | %10s | failed: %s\n", scenario.name,
                     method == protocol::ReconcileMethod::kLdpc ? "ldpc"
                                                                : "cascade",
-                    alice.abort_reason.c_str());
+                    alice.success && bob.success
+                        ? "alice and bob hold different keys"
+                        : alice.abort_reason.c_str());
+        all_ok = false;
         continue;
       }
       // Both directions' modeled channel time.
@@ -92,5 +98,5 @@ int main() {
               "RTT that is the difference between sub-second and "
               "minutes-per-block. LDPC leaks more bits but sends one "
               "syndrome per frame.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

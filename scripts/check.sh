@@ -34,7 +34,10 @@ smoke() {
   # (self-checks master/slave key identity and the 400/401/503 error
   # model; a mismatch exits non-zero), and the trusted-node relay network
   # (non-adjacent SAE delivery with a mid-stream admin outage re-routed
-  # around; self-checks failover + per-span bit conservation).
+  # around; self-checks failover + per-span bit conservation), and the two
+  # two-party session examples, which drive the session's reconcile
+  # exchange end to end (wan_link fails on an aborted session or unequal
+  # keys, kms_demo on a key that does not decrypt on the peer).
   echo "== smoke: multi_link ($1) =="
   "$1"/multi_link 2
   echo "== smoke: dynamic_link ($1) =="
@@ -43,6 +46,10 @@ smoke() {
   "$1"/key_delivery_demo 2
   echo "== smoke: network_relay ($1) =="
   "$1"/network_relay 2
+  echo "== smoke: wan_link ($1) =="
+  "$1"/wan_link
+  echo "== smoke: kms_demo ($1) =="
+  "$1"/kms_demo
 }
 
 run_tree() {

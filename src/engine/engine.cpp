@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -32,11 +31,6 @@ EngineOptions EngineOptions::pinned(hetero::DeviceKind kind,
 
 namespace {
 
-std::vector<hetero::DeviceProps> standard_roster(std::size_t threads) {
-  return {hetero::cpu_scalar_props(), hetero::cpu_parallel_props(threads),
-          hetero::gpu_sim_props(), hetero::fpga_sim_props()};
-}
-
 double& timing_of(StageTimings& timings, StageKind kind) {
   switch (kind) {
     case StageKind::kSift: return timings.sift;
@@ -57,43 +51,15 @@ PostprocessEngine::PostprocessEngine(PostprocessParams params,
                 "pe fraction outside (0,1)");
   QKDPP_REQUIRE(params_.qber_abort > 0 && params_.qber_abort <= 0.5,
                 "qber abort threshold outside (0,0.5]");
-  const std::size_t pool_threads =
-      options_.threads
-          ? options_.threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (options_.shared_devices) {
-    // Shared roster: the set owns devices and their pool; this engine only
-    // places stages on them (and commits its load in choose_placement).
-    hetero::DeviceSet& set = *options_.shared_devices;
-    QKDPP_REQUIRE(set.size() > 0, "shared device set is empty");
-    for (std::size_t d = 0; d < set.size(); ++d) {
-      devices_.push_back(&set.device(d));
-    }
-  } else {
-    if (options_.devices.empty()) {
-      options_.devices = standard_roster(pool_threads);
-    }
-    // CpuScalar stays single-threaded by definition; everything else
-    // (including the sims, which execute host-side) may use the pool -
-    // which is only spun up when some roster device can actually use it.
-    const bool needs_pool = std::any_of(
-        options_.devices.begin(), options_.devices.end(),
-        [](const hetero::DeviceProps& props) {
-          return props.kind != hetero::DeviceKind::kCpuScalar;
-        });
-    if (needs_pool) {
-      kernel_pool_ = std::make_unique<ThreadPool>(pool_threads);
-    }
-    for (const auto& props : options_.devices) {
-      ThreadPool* pool = props.kind == hetero::DeviceKind::kCpuScalar
-                             ? nullptr
-                             : kernel_pool_.get();
-      owned_devices_.emplace_back(props, pool);
-      devices_.push_back(&owned_devices_.back());
-    }
-  }
+  // Without a shared set the engine builds its own from the options, so
+  // the stages always run on (and commit their load to) one DeviceSet.
+  devices_ = options_.shared_devices
+                 ? options_.shared_devices
+                 : std::make_shared<hetero::DeviceSet>(options_.devices,
+                                                       options_.threads);
+  QKDPP_REQUIRE(devices_->size() > 0, "device set is empty");
   if (options_.policy == PlacementPolicy::kFixed &&
-      options_.fixed_device >= devices_.size()) {
+      options_.fixed_device >= devices_->size()) {
     throw_error(ErrorCode::kConfig, "fixed device index outside roster");
   }
   executors_ = make_stage_executors(params_);
@@ -110,9 +76,9 @@ PostprocessEngine::~PostprocessEngine() {
   // The ledger records the load of *live* placements (replan() already
   // swaps rather than accumulates): a torn-down engine must not leave
   // phantom load steering the surviving links away from idle hardware.
-  if (options_.shared_devices && !committed_by_this_.empty()) {
+  if (!committed_by_this_.empty()) {
     try {
-      options_.shared_devices->uncommit_loads(committed_by_this_);
+      devices_->uncommit_loads(committed_by_this_);
     } catch (...) {
       // Length mismatch is impossible (sized from the same roster); never
       // let a bookkeeping error escape a destructor.
@@ -126,8 +92,8 @@ void PostprocessEngine::build_problem_locked() {
   for (const auto& executor : executors_) {
     problem_.stage_names.emplace_back(executor->name());
   }
-  for (const auto* device : devices_) {
-    problem_.device_names.push_back(device->name());
+  for (std::size_t d = 0; d < devices_->size(); ++d) {
+    problem_.device_names.push_back(devices_->device(d).name());
   }
   for (std::size_t s = 0; s < executors_.size(); ++s) {
     const auto& executor = executors_[s];
@@ -135,14 +101,15 @@ void PostprocessEngine::build_problem_locked() {
     // stage by the EWMA observed/predicted ratio (1.0 until blocks ran).
     const double correction = cost_model_.correction(s);
     std::vector<double> row, raw_row;
-    row.reserve(devices_.size());
-    raw_row.reserve(devices_.size());
-    for (const auto* device : devices_) {
-      const double modeled = device->model_seconds(
-          executor->work_model(options_.workload, device->kind()));
+    row.reserve(devices_->size());
+    raw_row.reserve(devices_->size());
+    for (std::size_t d = 0; d < devices_->size(); ++d) {
+      const hetero::Device& device = devices_->device(d);
+      const double modeled = device.model_seconds(
+          executor->work_model(options_.workload, device.kind()));
       raw_row.push_back(modeled);
       const bool feasible =
-          executor->feasible_on(device->kind()) && device->online();
+          executor->feasible_on(device.kind()) && device.online();
       if (!feasible && options_.policy != PlacementPolicy::kFixed) {
         row.push_back(hetero::kInfeasible);
         continue;
@@ -158,25 +125,19 @@ void PostprocessEngine::build_problem_locked() {
 }
 
 void PostprocessEngine::solve_and_commit_locked() {
-  // On a shared set, arbitrate against the load other engines' placements
-  // already committed to each device - excluding whatever this engine's
-  // previous placement committed (the replan path retracts it below).
-  std::vector<double> base_load(devices_.size(), 0.0);
-  if (options_.shared_devices) {
-    base_load = options_.shared_devices->committed_loads();
-    for (std::size_t d = 0; d < base_load.size() &&
-                            d < committed_by_this_.size(); ++d) {
-      base_load[d] = std::max(0.0, base_load[d] - committed_by_this_[d]);
-    }
+  // Arbitrate against the load other engines' placements already committed
+  // to each device - excluding whatever this engine's previous placement
+  // committed (retracted below).
+  std::vector<double> base_load = devices_->committed_loads();
+  for (std::size_t d = 0;
+       d < base_load.size() && d < committed_by_this_.size(); ++d) {
+    base_load[d] = std::max(0.0, base_load[d] - committed_by_this_[d]);
   }
 
   hetero::MappingResult result;
   switch (options_.policy) {
     case PlacementPolicy::kOptimized:
       result = hetero::optimize_mapping(problem_, base_load);
-      break;
-    case PlacementPolicy::kGreedy:
-      result = hetero::greedy_mapping(problem_);
       break;
     case PlacementPolicy::kFixed:
       result = hetero::fixed_mapping(problem_, options_.fixed_device);
@@ -188,18 +149,16 @@ void PostprocessEngine::solve_and_commit_locked() {
   placement_.predicted_items_per_s = result.throughput_items_per_s;
   placement_.bottleneck_load_s = result.bottleneck_load_s;
 
-  if (options_.shared_devices) {
-    std::vector<double> committed(devices_.size(), 0.0);
-    for (std::size_t s = 0; s < placement_.device_of_stage.size(); ++s) {
-      const std::uint32_t d = placement_.device_of_stage[s];
-      committed[d] += problem_.seconds_per_item[s][d];
-    }
-    if (!committed_by_this_.empty()) {
-      options_.shared_devices->uncommit_loads(committed_by_this_);
-    }
-    options_.shared_devices->commit_loads(committed);
-    committed_by_this_ = std::move(committed);
+  std::vector<double> committed(devices_->size(), 0.0);
+  for (std::size_t s = 0; s < placement_.device_of_stage.size(); ++s) {
+    const std::uint32_t d = placement_.device_of_stage[s];
+    committed[d] += problem_.seconds_per_item[s][d];
   }
+  if (!committed_by_this_.empty()) {
+    devices_->uncommit_loads(committed_by_this_);
+  }
+  devices_->commit_loads(committed);
+  committed_by_this_ = std::move(committed);
 }
 
 PostprocessParams PostprocessEngine::params() const {
@@ -252,10 +211,11 @@ std::uint64_t PostprocessEngine::replans() const {
 
 std::vector<DeviceReport> PostprocessEngine::device_report() const {
   std::vector<DeviceReport> reports;
-  reports.reserve(devices_.size());
-  for (const auto* device : devices_) {
-    reports.push_back({device->name(), device->kind(), device->busy_seconds(),
-                       device->kernels_launched()});
+  reports.reserve(devices_->size());
+  for (std::size_t d = 0; d < devices_->size(); ++d) {
+    const hetero::Device& device = devices_->device(d);
+    reports.push_back({device.name(), device.kind(), device.busy_seconds(),
+                       device.kernels_launched()});
   }
   return reports;
 }
@@ -299,7 +259,7 @@ BlockOutcome PostprocessEngine::process_block(const BlockInput& input,
   ctx.arena = &arena;
 
   for (std::size_t s = 0; s < executors_.size(); ++s) {
-    ctx.device = devices_[assignment[s]];
+    ctx.device = &devices_->device(assignment[s]);
     if (!ctx.device->online()) {
       // Hot-removed device still in this block's placement: the kernel has
       // nowhere to run. Expected under a static policy during an outage;

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>  // std::once_flag
@@ -27,6 +26,7 @@
 #include "engine/params.hpp"
 #include "engine/stage.hpp"
 #include "hetero/device.hpp"
+#include "hetero/device_set.hpp"
 #include "hetero/mapper.hpp"
 #include "hetero/trace.hpp"
 
@@ -72,14 +72,14 @@ class PostprocessEngine {
   std::vector<DeviceReport> device_report() const;
 
   /// Re-run the placement search for the current device roster: offline
-  /// devices are priced infeasible, shared-set base load is re-read (our
+  /// devices are priced infeasible, the set's base load is re-read (our
   /// own previous commitment excluded), per-device modeled costs are
   /// multiplied by the EWMA observed/predicted correction learned from
   /// completed blocks, and the stage workload is refreshed to `workload`.
-  /// On a shared set the old commitment is retracted and the new one
-  /// committed. The swap happens under the plan lock: in-flight blocks
-  /// finish on the placement they started with, later blocks use the new
-  /// one. Returns the new placement.
+  /// The old commitment is retracted and the new one committed. The swap
+  /// happens under the plan lock: in-flight blocks finish on the placement
+  /// they started with, later blocks use the new one. Returns the new
+  /// placement.
   Placement replan(const StageWorkload& workload);
   /// Replan with the workload unchanged.
   Placement replan();
@@ -132,17 +132,12 @@ class PostprocessEngine {
   /// mutates method/cascade settings while blocks snapshot).
   PostprocessParams params_ QKD_GUARDED_BY(plan_mutex_);
   EngineOptions options_;
-  /// Created only when a roster device can use it (anything non-scalar) and
-  /// the engine owns its devices; a shared DeviceSet brings its own pool.
-  std::unique_ptr<ThreadPool> kernel_pool_;
+  /// The roster the stages run on: options.shared_devices, or a set built
+  /// from options.devices and options.threads that only this engine uses.
+  std::shared_ptr<hetero::DeviceSet> devices_;
   /// Created lazily on the first submit_block().
   std::once_flag batch_pool_once_;
   std::unique_ptr<ThreadPool> batch_pool_;
-  /// Populated only without a shared set (Device is pinned: owns a mutex).
-  std::deque<hetero::Device> owned_devices_;
-  /// The roster the stages run on: owned_devices_, or the shared set's
-  /// devices (kept alive by options_.shared_devices).
-  std::vector<hetero::Device*> devices_;
   std::vector<std::unique_ptr<StageExecutor>> executors_;
   /// Guards placement_/problem_/raw_model_/params_/committed_by_this_:
   /// process_block snapshots under it, replan()/adapt_to_qber() swap under
@@ -157,7 +152,7 @@ class PostprocessEngine {
   /// compounding through its own previous value.
   std::vector<std::vector<double>> raw_model_ QKD_GUARDED_BY(plan_mutex_);
   Placement placement_ QKD_GUARDED_BY(plan_mutex_);
-  /// Per-device load this engine currently has committed to a shared set.
+  /// Per-device load this engine currently has committed to devices_.
   std::vector<double> committed_by_this_ QKD_GUARDED_BY(plan_mutex_);
   hetero::StageCostModel cost_model_{kStageCount};
   std::uint64_t replan_count_ QKD_GUARDED_BY(plan_mutex_) = 0;

@@ -41,8 +41,7 @@ struct PostprocessParams {
 /// How the engine turns the stage x device cost matrix into a placement.
 enum class PlacementPolicy : std::uint8_t {
   kOptimized = 0,  ///< exhaustive mapper (provably optimal under the model)
-  kGreedy = 1,     ///< each stage on its individually fastest device
-  kFixed = 2,      ///< every stage on options.fixed_device
+  kFixed = 1,      ///< every stage on options.fixed_device
 };
 
 /// Nominal per-block workload the mapper prices stages against. Defaults
@@ -59,14 +58,13 @@ struct EngineOptions {
   /// (cpu-scalar, cpu-parallel, gpu-sim, fpga-sim).
   std::vector<hetero::DeviceProps> devices;
   /// When set, the engine runs on this *shared* device set instead of
-  /// constructing devices from `devices`, and commits its placement's
-  /// per-device load to the set's ledger. Under kOptimized the placement
-  /// is priced against the load other engines already committed - the
-  /// arbitration path that lets many links share one physical machine
-  /// (LinkOrchestrator). The kGreedy/kFixed baselines stay deliberately
-  /// contention-blind (they exist to show what arbitration buys) but
-  /// still commit the load they will really impose, so later kOptimized
-  /// engines see it.
+  /// building its own from `devices` and `threads`. Either way it commits
+  /// its placement's per-device load to the set's ledger, and under
+  /// kOptimized the placement is priced against the load other engines
+  /// already committed - the arbitration path that lets many links share
+  /// one physical machine (LinkOrchestrator). The kFixed baseline stays
+  /// deliberately contention-blind but still commits the load it will
+  /// really impose, so later kOptimized engines see it.
   std::shared_ptr<hetero::DeviceSet> shared_devices;
   PlacementPolicy policy = PlacementPolicy::kOptimized;
   /// Roster index every stage is pinned to under PlacementPolicy::kFixed.

@@ -12,8 +12,7 @@
 #include "common/error.hpp"
 #include "privacy/verification.hpp"
 #include "protocol/param_estimation.hpp"
-#include "reconcile/ldpc_code.hpp"
-#include "reconcile/rate_adapt.hpp"
+#include "reconcile/reconciler.hpp"
 
 namespace qkdpp::engine {
 
@@ -38,11 +37,6 @@ constexpr double kModelFrameBits = 16384.0;
 constexpr double kModelPayloadBits = 12288.0;
 constexpr double kModelEdgesPerBit = 3.0;  ///< regular dv=3 PEG codes
 constexpr double kModelTypicalIterations = 20.0;
-/// Per-attempt iteration cap for the lockstep batch decoder. Frames that
-/// need more than this almost never recover within the attempt - they
-/// converge after the next blind reveal instead, so short attempts waste
-/// less lockstep width on stragglers.
-constexpr unsigned kBatchIterationCap = 20;
 
 // ---------------------------------------------------------------------------
 
@@ -225,39 +219,24 @@ class ReconcileExecutor final : public StageExecutor {
  private:
   void run_ldpc(BlockState& state, const ExecutionContext& ctx, double qber,
                 double& iterations, double& frames_run) const {
-    reconcile::FramePlan plan;
+    reconcile::LdpcBlockFraming framing;
     try {
-      // The batched planner prefers codes that cut the key into enough
-      // frames to fill the lockstep decoder's lanes.
-      plan = reconcile::plan_frame_batched(
-          state.alice_key.size(), qber, ctx.params->ldpc.f_target,
-          ctx.params->ldpc.adapt_fraction,
-          ctx.params->ldpc.batch_target_frames);
+      framing = reconcile::frame_ldpc_block(
+          state.alice_key.size(), qber, state.block_id, ctx.params->ldpc);
     } catch (const Error&) {
       state.outcome.abort_reason = "key shorter than one reconciliation frame";
       return;
     }
-    reconcile::LdpcReconcilerConfig effective = ctx.params->ldpc;
-    effective.decoder.arena = ctx.arena;
-    const std::size_t frames = state.alice_key.size() / plan.payload_bits;
+    const std::size_t capacity =
+        framing.frame_seeds.size() * framing.plan.payload_bits;
     // Reserve the reconciled accumulators once so the per-frame append()s
     // never reallocate mid-block.
-    state.alice_reconciled.reserve(frames * plan.payload_bits);
-    state.bob_reconciled.reserve(frames * plan.payload_bits);
-    // A failed attempt costs its full iteration budget across every live
-    // lane, and the blind loop gets another shot after each reveal - so cap
-    // attempts short. Measured against the 60-iteration cap this cuts wall
-    // time 2-3x at the low-QBER operating points with the same
-    // (occasionally lower) final leak.
-    effective.decoder.max_iterations =
-        std::min(effective.decoder.max_iterations, kBatchIterationCap);
-    std::vector<std::uint64_t> seeds(frames);
-    for (std::size_t f = 0; f < frames; ++f) {
-      seeds[f] = (state.block_id << 20) ^ (f * 0x9e3779b97f4a7c15ULL);
-    }
+    state.alice_reconciled.reserve(capacity);
+    state.bob_reconciled.reserve(capacity);
     const auto stats = reconcile::ldpc_reconcile_key_batch(
-        state.alice_key, state.bob_key, qber, plan, seeds, effective, *ctx.rng,
-        ctx.arena, state.alice_reconciled, state.bob_reconciled);
+        state.alice_key, state.bob_key, qber, framing.plan,
+        framing.frame_seeds, ctx.params->ldpc, *ctx.rng, ctx.arena,
+        state.alice_reconciled, state.bob_reconciled);
     ctx.ledger->ec_bits += stats.leaked_bits;
     state.outcome.reconcile_rounds += stats.rounds;
     state.outcome.reconcile_frames += stats.frames;
@@ -271,7 +250,7 @@ class ReconcileExecutor final : public StageExecutor {
                    double qber) const {
     reconcile::CascadeConfig cascade = ctx.params->cascade;
     cascade.qber_hint = qber;
-    cascade.seed = state.block_id * 0x2545f4914f6cdd1dULL + 1;
+    cascade.seed = reconcile::cascade_block_seed(state.block_id);
     const auto result = reconcile::cascade_reconcile_local(
         state.alice_key, state.bob_key, qber, cascade);
     ctx.ledger->ec_bits += result.leaked_bits;

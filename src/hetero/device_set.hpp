@@ -1,4 +1,5 @@
-// Shared device roster for multi-link deployments.
+// Device roster every PostprocessEngine runs on: shared across the links
+// of a multi-link deployment, or built by a lone engine for itself.
 //
 // One physical machine serves many QKD links: the links' engines must
 // contend for the same Device objects (accounting, pools) instead of each

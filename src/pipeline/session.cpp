@@ -1,5 +1,8 @@
 #include "pipeline/session.hpp"
 
+#include <algorithm>
+#include <optional>
+
 #include "common/crc.hpp"
 #include "common/error.hpp"
 #include "engine/primitives.hpp"
@@ -118,6 +121,48 @@ class RemoteParityOracle final : public reconcile::ParityOracle {
   std::uint64_t block_id_;
 };
 
+/// Bob-side reveal oracle: one BlindRequest per query, all sent before the
+/// first BlindResponse is read, so a blind stage costs one round trip
+/// however many frames it covers.
+class RemoteRevealOracle final : public reconcile::RevealOracle {
+ public:
+  RemoteRevealOracle(ClassicalChannel& channel, std::uint64_t block_id,
+                     std::size_t code_n)
+      : channel_(channel), block_id_(block_id), code_n_(code_n) {}
+
+  std::vector<reconcile::BlindReveal> reveal(
+      std::span<const reconcile::RevealQuery> queries) override {
+    for (const auto& query : queries) {
+      send_msg(channel_, BlindRequest{block_id_, query.frame, query.round});
+    }
+    std::vector<reconcile::BlindReveal> reveals;
+    reveals.reserve(queries.size());
+    for (const auto& query : queries) {
+      auto response = expect_msg<BlindResponse>(channel_);
+      if (response.frame != query.frame || response.round != query.round) {
+        throw_error(ErrorCode::kProtocol,
+                    "blind response for a frame not asked about");
+      }
+      if (response.positions.size() != response.values.size()) {
+        throw_error(ErrorCode::kProtocol, "blind response shape mismatch");
+      }
+      for (const auto p : response.positions) {
+        if (p >= code_n_) {
+          throw_error(ErrorCode::kProtocol, "blind position out of range");
+        }
+      }
+      reveals.push_back({std::move(response.positions),
+                         std::move(response.values)});
+    }
+    return reveals;
+  }
+
+ private:
+  ClassicalChannel& channel_;
+  std::uint64_t block_id_;
+  std::size_t code_n_;
+};
+
 }  // namespace
 
 SessionResult run_alice_session(ClassicalChannel& channel,
@@ -183,126 +228,114 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     const double qber_hint = engine::qber_floor(estimate.qber);
 
     // --- reconciliation -----------------------------------------------------
-    BitVec reconciled;
+    // Framing and seeds come from the block id exactly as in the engine's
+    // reconcile stage, so both deployments reconcile a block the same way.
+    ReconcileStart start;
+    start.block_id = block_id;
+    start.method = config.method;
+    start.qber_hint = qber_hint;
+    std::optional<reconcile::LdpcResponder> ldpc;
+    std::optional<reconcile::CascadeResponder> cascade;
+    std::size_t frame_bits = key.size();  // Cascade: the key is one frame
+    std::size_t frames = 1;
     if (config.method == ReconcileMethod::kLdpc) {
-      reconcile::FramePlan plan;
+      reconcile::LdpcBlockFraming framing;
       try {
-        plan = reconcile::plan_frame_fitting(key.size(), qber_hint,
-                                             config.ldpc.f_target,
-                                             config.ldpc.adapt_fraction);
+        framing = reconcile::frame_ldpc_block(key.size(), qber_hint, block_id,
+                                              config.ldpc);
       } catch (const Error&) {
         send_abort(channel, block_id, "key shorter than one frame");
         result.abort_reason = "key shorter than one frame";
         result.channel = channel.counters();
         return result;
       }
-      const std::size_t frames = key.size() / plan.payload_bits;
-      const reconcile::LdpcCode& code = reconcile::code_by_id(plan.code_id);
+      const reconcile::FramePlan& plan = framing.plan;
+      ldpc.emplace(key, plan, framing.frame_seeds,
+                   config.ldpc.max_blind_rounds, rng);
+      frame_bits = plan.payload_bits;
+      frames = ldpc->frames();
+      start.code_id = plan.code_id;
+      start.n_punctured = plan.n_punctured;
+      start.n_shortened = plan.n_shortened;
+      // Stream every frame's syndrome; Bob decodes the block in lockstep.
+      const std::size_t m = reconcile::code_by_id(plan.code_id).m();
       for (std::size_t f = 0; f < frames; ++f) {
-        const BitVec payload =
-            key.subvec(f * plan.payload_bits, plan.payload_bits);
-        const std::uint64_t frame_seed = rng.next_u64();
-        reconcile::LdpcFrameSender sender(plan, payload, frame_seed, rng);
-
-        ReconcileStart start;
-        start.block_id = block_id;
-        start.method = ReconcileMethod::kLdpc;
-        start.perm_seed = frame_seed;
-        start.code_id = plan.code_id;
-        start.n_punctured = plan.n_punctured;
-        start.n_shortened = plan.n_shortened;
-        start.qber_hint = qber_hint;
-        start.syndrome = sender.syndrome();
+        start.perm_seed = framing.frame_seeds[f];
+        start.syndrome = ldpc->syndromes()[f];
         send_msg(channel, start);
-        result.leak_ec_bits += code.m() - plan.n_punctured;
-
-        // Serve blind rounds until Bob reports the frame done.
-        for (;;) {
-          Message message = protocol::decode_message(channel.receive());
-          if (auto* abort = std::get_if<Abort>(&message)) {
-            throw AbortSignal{abort->detail};
-          }
-          if (auto* blind = std::get_if<BlindRequest>(&message)) {
-            if (blind->round == 0) {
-              throw_error(ErrorCode::kProtocol, "blind round out of range");
-            }
-            const auto chunk = sender.reveal_chunk(
-                blind->round, config.ldpc.max_blind_rounds);
-            BlindResponse response;
-            response.block_id = block_id;
-            response.round = blind->round;
-            response.positions = chunk.positions;
-            response.values = chunk.values;
-            result.leak_ec_bits += chunk.positions.size();
-            send_msg(channel, response);
-            continue;
-          }
-          if (auto* done = std::get_if<ReconcileDone>(&message)) {
-            if (done->success) reconciled.append(payload);
-            break;
-          }
-          throw_error(ErrorCode::kProtocol,
-                      std::string("unexpected message during "
-                                  "reconciliation: ") +
-                          protocol::message_name(message));
-        }
+        result.leak_ec_bits += m - plan.n_punctured;
       }
     } else {
       // Cascade: Alice is the parity server.
-      const std::uint64_t perm_seed = rng.next_u64();
-      ReconcileStart start;
-      start.block_id = block_id;
-      start.method = ReconcileMethod::kCascade;
-      start.perm_seed = perm_seed;
-      start.qber_hint = qber_hint;
+      start.perm_seed = reconcile::cascade_block_seed(block_id);
       send_msg(channel, start);
+      cascade.emplace(key, reconcile::cascade_permutations(
+                               key.size(), start.perm_seed,
+                               config.cascade.passes));
+    }
 
-      const reconcile::CascadeResponder responder(
-          key, reconcile::cascade_permutations(key.size(), perm_seed,
-                                               config.cascade.passes));
-      for (;;) {
-        Message message = protocol::decode_message(channel.receive());
-        if (auto* abort = std::get_if<Abort>(&message)) {
-          throw AbortSignal{abort->detail};
-        }
-        if (auto* request = std::get_if<ParityRequest>(&message)) {
-          if (request->range_begins.size() != request->range_ends.size()) {
-            throw_error(ErrorCode::kProtocol, "parity request shape");
-          }
-          // Pass and ranges come off the wire; the responder only asserts
-          // them.
-          if (request->pass >= responder.passes()) {
-            throw_error(ErrorCode::kProtocol,
-                        "parity request pass out of range");
-          }
-          std::vector<reconcile::ParityRange> ranges;
-          ranges.reserve(request->range_begins.size());
-          for (std::size_t i = 0; i < request->range_begins.size(); ++i) {
-            const reconcile::ParityRange range{request->range_begins[i],
-                                               request->range_ends[i]};
-            if (range.begin > range.end || range.end > responder.key_size()) {
-              throw_error(ErrorCode::kProtocol,
-                          "parity request range out of bounds");
-            }
-            ranges.push_back(range);
-          }
-          ParityResponse response;
-          response.block_id = block_id;
-          response.pass = request->pass;
-          response.parities = responder.parities(request->pass, ranges);
-          result.leak_ec_bits += ranges.size();
-          send_msg(channel, response);
-          continue;
-        }
-        if (auto* done = std::get_if<ReconcileDone>(&message)) {
-          // Bob reports round-budget exhaustion (keys provably still
-          // differ): leave `reconciled` empty so the no-reconciled-frames
-          // abort below fires instead of leaking a doomed verification tag.
-          if (done->success) reconciled = key;
-          break;
-        }
-        throw_error(ErrorCode::kProtocol, "unexpected message in cascade");
+    // Serve Bob's requests until he reports each frame's outcome. Request
+    // fields come off the wire; the responders only assert them.
+    BitVec reconciled;
+    for (;;) {
+      Message message = protocol::decode_message(channel.receive());
+      if (auto* abort = std::get_if<Abort>(&message)) {
+        throw AbortSignal{abort->detail};
       }
+      const auto* request = std::get_if<ParityRequest>(&message);
+      if (request != nullptr && cascade) {
+        if (request->range_begins.size() != request->range_ends.size()) {
+          throw_error(ErrorCode::kProtocol, "parity request shape");
+        }
+        if (request->pass >= cascade->passes()) {
+          throw_error(ErrorCode::kProtocol,
+                      "parity request pass out of range");
+        }
+        std::vector<reconcile::ParityRange> ranges;
+        ranges.reserve(request->range_begins.size());
+        for (std::size_t i = 0; i < request->range_begins.size(); ++i) {
+          const reconcile::ParityRange range{request->range_begins[i],
+                                             request->range_ends[i]};
+          if (range.begin > range.end || range.end > cascade->key_size()) {
+            throw_error(ErrorCode::kProtocol,
+                        "parity request range out of bounds");
+          }
+          ranges.push_back(range);
+        }
+        send_msg(channel,
+                 ParityResponse{block_id, request->pass,
+                                cascade->parities(request->pass, ranges)});
+        result.leak_ec_bits += ranges.size();
+        continue;
+      }
+      const auto* blind = std::get_if<BlindRequest>(&message);
+      if (blind != nullptr && ldpc) {
+        if (blind->frame >= frames || blind->round == 0) {
+          throw_error(ErrorCode::kProtocol, "blind request out of range");
+        }
+        auto chunk = ldpc->reveal(blind->frame, blind->round);
+        result.leak_ec_bits += chunk.positions.size();
+        send_msg(channel,
+                 BlindResponse{block_id, blind->frame, blind->round,
+                               std::move(chunk.positions),
+                               std::move(chunk.values)});
+        continue;
+      }
+      if (const auto* done = std::get_if<ReconcileDone>(&message)) {
+        if (done->converged.size() != frames) {
+          throw_error(ErrorCode::kProtocol, "reconcile outcome count mismatch");
+        }
+        // Frames Bob failed to decode stay out of the key; a Cascade that
+        // ran out of rounds (keys provably still differ) leaves it empty,
+        // so the no-reconciled-frames abort below fires instead of leaking
+        // a doomed verification tag.
+        reconcile::append_converged_frames(key, frame_bits, done->converged,
+                                           reconciled);
+        break;
+      }
+      throw_error(ErrorCode::kProtocol,
+                  std::string("unexpected message during reconciliation: ") +
+                      protocol::message_name(message));
     }
     result.reconciled_bits = reconciled.size();
     if (reconciled.empty()) {
@@ -407,24 +440,32 @@ SessionResult run_bob_session(ClassicalChannel& channel,
     result.key_candidate_bits = key.size();
 
     // --- reconciliation -----------------------------------------------------
+    const auto first_start = expect_msg<ReconcileStart>(channel);
     // The hint comes off the wire and sizes the LLRs or Cascade blocks: a
     // NaN or out-of-range value would reach a float-to-int cast.
-    const auto peer_qber_hint = [](double hint) {
-      if (!(hint >= 0.0 && hint < 0.5)) {
-        throw_error(ErrorCode::kProtocol, "qber hint out of range");
-      }
-      return engine::qber_floor(hint);
-    };
+    if (!(first_start.qber_hint >= 0.0 && first_start.qber_hint < 0.5)) {
+      throw_error(ErrorCode::kProtocol, "qber hint out of range");
+    }
+    const double qber = engine::qber_floor(first_start.qber_hint);
     BitVec reconciled;
-    const auto first_start = expect_msg<ReconcileStart>(channel);
+    BitVec converged;
     if (first_start.method == ReconcileMethod::kLdpc) {
+      // Alice streams one ReconcileStart per frame, all on the first one's
+      // plan; the block is decoded once every syndrome is in. The plan
+      // comes off the wire: an unknown code, or one that leaves no payload
+      // (a division by zero below), is a protocol fault.
+      const auto table = reconcile::code_table();
+      if (std::none_of(table.begin(), table.end(), [&](const auto& spec) {
+            return spec.id == first_start.code_id;
+          })) {
+        throw_error(ErrorCode::kProtocol, "unknown LDPC code id");
+      }
+      const reconcile::LdpcCode& code =
+          reconcile::code_by_id(first_start.code_id);
       reconcile::FramePlan plan;
       plan.code_id = first_start.code_id;
       plan.n_punctured = first_start.n_punctured;
       plan.n_shortened = first_start.n_shortened;
-      const reconcile::LdpcCode& code = reconcile::code_by_id(plan.code_id);
-      // The frame shape comes off the wire: a plan that leaves no payload
-      // would divide by zero below.
       if (std::uint64_t{plan.n_punctured} + plan.n_shortened >= code.n()) {
         throw_error(ErrorCode::kProtocol, "frame plan leaves no payload");
       }
@@ -433,47 +474,35 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       if (frames == 0) {
         throw_error(ErrorCode::kProtocol, "frame plan larger than key");
       }
-
-      ReconcileStart start = first_start;
+      std::vector<std::uint64_t> frame_seeds;
+      std::vector<BitVec> syndromes;
       for (std::size_t f = 0; f < frames; ++f) {
-        if (f > 0) start = expect_msg<ReconcileStart>(channel);
+        ReconcileStart start =
+            f == 0 ? first_start : expect_msg<ReconcileStart>(channel);
+        if (start.method != first_start.method ||
+            start.code_id != plan.code_id ||
+            start.n_punctured != plan.n_punctured ||
+            start.n_shortened != plan.n_shortened ||
+            start.qber_hint != first_start.qber_hint) {
+          throw_error(ErrorCode::kProtocol, "frame plan changed mid-block");
+        }
         if (start.syndrome.size() != code.m()) {
           throw_error(ErrorCode::kProtocol, "syndrome length mismatch");
         }
-        const BitVec payload =
-            key.subvec(f * plan.payload_bits, plan.payload_bits);
-        reconcile::LdpcFrameReceiver receiver(
-            plan, payload, start.perm_seed,
-            peer_qber_hint(start.qber_hint), config.ldpc.decoder);
-        auto attempt = receiver.try_decode(start.syndrome);
-        unsigned round = 0;
-        while (!attempt.converged && round < config.ldpc.max_blind_rounds) {
-          ++round;
-          send_msg(channel, BlindRequest{block_id, round});
-          const auto blind = expect_msg<BlindResponse>(channel);
-          if (blind.positions.size() != blind.values.size()) {
-            throw_error(ErrorCode::kProtocol, "blind response shape mismatch");
-          }
-          for (const auto p : blind.positions) {
-            if (p >= code.n()) {
-              throw_error(ErrorCode::kProtocol,
-                          "blind position out of range");
-            }
-          }
-          result.leak_ec_bits += blind.positions.size();
-          if (blind.positions.empty()) break;  // nothing left to reveal
-          receiver.apply_reveal(blind.positions, blind.values);
-          attempt = receiver.try_decode(start.syndrome);
-        }
-        result.leak_ec_bits += code.m() - plan.n_punctured;
-        send_msg(channel, ReconcileDone{block_id, attempt.converged});
-        if (attempt.converged) reconciled.append(receiver.corrected_payload());
+        frame_seeds.push_back(start.perm_seed);
+        syndromes.push_back(std::move(start.syndrome));
       }
+      RemoteRevealOracle oracle(channel, block_id, code.n());
+      const auto stats = reconcile::ldpc_decode_block(
+          key, qber, plan, frame_seeds, syndromes, config.ldpc, oracle,
+          /*arena=*/nullptr, reconciled);
+      result.leak_ec_bits += stats.leaked_bits;
+      converged = stats.converged;
     } else {
       // Cascade: Bob drives, Alice serves parities.
       RemoteParityOracle oracle(channel, block_id);
       reconcile::CascadeConfig cascade = config.cascade;
-      cascade.qber_hint = peer_qber_hint(first_start.qber_hint);
+      cascade.qber_hint = qber;
       cascade.seed = first_start.perm_seed;
       BitVec corrected = key;
       const auto cascade_result =
@@ -482,9 +511,10 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       // Report the real convergence state: on round-budget exhaustion the
       // keys provably still differ and verification (which both peers still
       // run, keeping the message flow fixed) is guaranteed to fail.
-      send_msg(channel, ReconcileDone{block_id, cascade_result.converged});
+      converged = BitVec(1, cascade_result.converged);
       reconciled = std::move(corrected);
     }
+    send_msg(channel, ReconcileDone{block_id, converged});
     result.reconciled_bits = reconciled.size();
 
     // --- verification ---------------------------------------------------------

@@ -12,18 +12,23 @@
 //   Alice:                 <- PeVerdict              (continue / abort)
 //   Alice:                 <- ReconcileStart         (per frame | cascade)
 //          ... ParityRequest/ParityResponse | BlindRequest/BlindResponse ...
-//   Bob:   ReconcileDone ->
+//   Bob:   ReconcileDone ->                          (outcome per frame)
 //   Alice:                 <- VerifyRequest
 //   Bob:   VerifyResponse ->
 //   Alice:                 <- PaParams
 //   both:  KeyConfirm      (non-secret bookkeeping)
 //
-// The per-stage computations (PE position selection, key extraction,
-// leakage accounting, PA application) are the engine's shared primitives
-// (engine/primitives.hpp) - this file only owns the message choreography,
-// so both deployments distill bit-identical keys from the same raw
-// material. Abort at any decision point is a message, not an exception;
-// both sides return success=false with the same reason.
+// Every computation is the engine's: the per-stage primitives
+// (engine/primitives.hpp) and the block-level reconcile exchange
+// (reconcile/reconciler.hpp). Alice frames an LDPC key with
+// frame_ldpc_block and streams every frame's syndrome; Bob decodes the
+// block with the engine's lockstep blind loop, asking for reveals by frame
+// at one round trip per blind stage. Fed the same BlockInput, block id and
+// RNG seed, both peers end with exactly process_block's key. This file
+// owns the message choreography and checks every reconcile field it takes
+// off the wire (a hostile one is a kProtocol fault). Abort at any decision
+// point is a message, not an exception; both sides return success=false
+// with the same reason.
 //
 // Channel faults are typed aborts too: a retransmission budget or exchange
 // deadline blown at the ARQ layer (Error{kTimeout}), a peer hang-up

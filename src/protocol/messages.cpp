@@ -116,14 +116,16 @@ struct Encoder {
   }
   void operator()(const ReconcileDone& m) {
     w.put_u64(m.block_id);
-    w.put_u8(m.success ? 1 : 0);
+    w.put_bitvec(m.converged);
   }
   void operator()(const BlindRequest& m) {
     w.put_u64(m.block_id);
+    w.put_u32(m.frame);
     w.put_u32(m.round);
   }
   void operator()(const BlindResponse& m) {
     w.put_u64(m.block_id);
+    w.put_u32(m.frame);
     w.put_u32(m.round);
     w.put_u32_vec(m.positions);
     w.put_bitvec(m.values);
@@ -251,13 +253,14 @@ Message decode_message(std::span<const std::uint8_t> frame) {
     case kTagReconcileDone: {
       ReconcileDone v;
       v.block_id = r.get_u64();
-      v.success = r.get_u8() != 0;
-      m = v;
+      v.converged = r.get_bitvec();
+      m = std::move(v);
       break;
     }
     case kTagBlindRequest: {
       BlindRequest v;
       v.block_id = r.get_u64();
+      v.frame = r.get_u32();
       v.round = r.get_u32();
       m = v;
       break;
@@ -265,6 +268,7 @@ Message decode_message(std::span<const std::uint8_t> frame) {
     case kTagBlindResponse: {
       BlindResponse v;
       v.block_id = r.get_u64();
+      v.frame = r.get_u32();
       v.round = r.get_u32();
       v.positions = r.get_u32_vec();
       v.values = r.get_bitvec();

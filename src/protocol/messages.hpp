@@ -57,8 +57,9 @@ struct PeVerdict {
 /// Reconciliation method selector.
 enum class ReconcileMethod : std::uint8_t { kCascade = 0, kLdpc = 1 };
 
-/// Alice -> Bob: reconciliation parameters. For LDPC the syndrome rides
-/// along; for Cascade the permutation seed drives both sides' shuffles.
+/// Alice -> Bob: reconciliation parameters. LDPC sends one per frame, all
+/// sharing the block's plan, with the frame's seed and syndrome; Cascade
+/// sends one whose permutation seed drives both sides' shuffles.
 struct ReconcileStart {
   std::uint64_t block_id = 0;
   ReconcileMethod method = ReconcileMethod::kLdpc;
@@ -86,21 +87,27 @@ struct ParityResponse {
   BitVec parities;
 };
 
-/// Bob -> Alice: reconciliation finished on his side.
+/// Bob -> Alice: reconciliation finished on his side, with one outcome bit
+/// per ReconcileStart Alice sent (LDPC: per frame, in frame order;
+/// Cascade: one bit for the whole key).
 struct ReconcileDone {
   std::uint64_t block_id = 0;
-  bool success = false;
+  BitVec converged;
 };
 
-/// Bob -> Alice (blind LDPC): decoding failed, reveal more punctured bits.
+/// Bob -> Alice (blind LDPC): decoding frame `frame` failed, reveal its
+/// next chunk of punctured bits.
 struct BlindRequest {
   std::uint64_t block_id = 0;
+  std::uint32_t frame = 0;
   std::uint32_t round = 0;
 };
 
-/// Alice -> Bob (blind LDPC): values of previously punctured positions.
+/// Alice -> Bob (blind LDPC): values of previously punctured positions of
+/// frame `frame`.
 struct BlindResponse {
   std::uint64_t block_id = 0;
+  std::uint32_t frame = 0;
   std::uint32_t round = 0;
   std::vector<std::uint32_t> positions;
   BitVec values;

@@ -1,12 +1,12 @@
 #include "reconcile/ldpc_code.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 
-#include "common/entropy.hpp"
 #include "common/error.hpp"
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
@@ -406,31 +406,6 @@ double finite_length_penalty(std::size_t n) noexcept {
   // rates (notably: (3,20) at n=4096 still fails ~20% of frames at
   // f_target 1.45, so q ~ 1.1% must select rate 0.8, not 0.85).
   return 1.0 + 14.0 / std::sqrt(static_cast<double>(n));
-}
-
-std::uint32_t pick_code(std::size_t min_n, double qber, double f_target) {
-  const CodeSpec* best = nullptr;
-  const CodeSpec* fallback = nullptr;
-  for (const auto& spec : kCodeTable) {
-    if (spec.n < min_n) continue;
-    const double max_rate =
-        1.0 - f_target * finite_length_penalty(spec.n) * binary_entropy(qber);
-    if (fallback == nullptr || spec.rate < fallback->rate ||
-        (spec.rate == fallback->rate && spec.n < fallback->n)) {
-      fallback = &spec;
-    }
-    if (spec.rate <= max_rate &&
-        (best == nullptr || spec.rate > best->rate ||
-         (spec.rate == best->rate && spec.n < best->n))) {
-      best = &spec;
-    }
-  }
-  if (best == nullptr) best = fallback;
-  if (best == nullptr) {
-    throw_error(ErrorCode::kConfig,
-                "no LDPC code with n >= " + std::to_string(min_n));
-  }
-  return best->id;
 }
 
 }  // namespace qkdpp::reconcile

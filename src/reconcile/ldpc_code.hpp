@@ -124,10 +124,4 @@ const LdpcCode& code_by_id(std::uint32_t id);
 /// multiplies f_target during code selection.
 double finite_length_penalty(std::size_t n) noexcept;
 
-/// Highest-rate code at block length >= `min_n` whose operating point keeps
-/// reconciliation efficiency at most f_target * finite_length_penalty(n)
-/// for crossover probability `qber`. Falls back to the lowest rate.
-/// Returns the code id.
-std::uint32_t pick_code(std::size_t min_n, double qber, double f_target);
-
 }  // namespace qkdpp::reconcile

@@ -41,16 +41,6 @@ FramePlan plan_with_code(std::uint32_t code_id, double qber, double f_target,
 
 }  // namespace
 
-FramePlan plan_frame(std::size_t min_bits, double qber, double f_target,
-                     double adapt_fraction) {
-  QKDPP_REQUIRE(qber > 0 && qber < 0.5, "qber outside (0, 0.5)");
-  QKDPP_REQUIRE(f_target >= 1.0, "efficiency target below Shannon limit");
-  QKDPP_REQUIRE(adapt_fraction >= 0 && adapt_fraction < 0.5,
-                "adaptation fraction outside [0, 0.5)");
-  return plan_with_code(pick_code(min_bits, qber, f_target), qber, f_target,
-                        adapt_fraction);
-}
-
 FramePlan plan_frame_fitting(std::size_t key_bits, double qber,
                              double f_target, double adapt_fraction) {
   QKDPP_REQUIRE(qber > 0 && qber < 0.5, "qber outside (0, 0.5)");

@@ -42,15 +42,11 @@ struct FramePlan {
   double predicted_efficiency = 0.0;
 };
 
-/// Choose code + (d, s) for a frame of at least `min_bits` bits at
-/// crossover `qber`, aiming at reconciliation efficiency `f_target`.
-/// `adapt_fraction` is the d+s budget as a fraction of n (0.1 is typical).
-FramePlan plan_frame(std::size_t min_bits, double qber, double f_target,
-                     double adapt_fraction = 0.10);
-
-/// Like plan_frame, but constrained to frames whose payload FITS inside a
-/// key of `key_bits` (so at least one full frame can be cut from it), and
-/// preferring the largest such payload. Throws Error{kConfig} when even the
+/// Choose code + (d, s) for a frame whose payload FITS inside a key of
+/// `key_bits` bits (so at least one full frame can be cut from it) at
+/// crossover `qber`, aiming at reconciliation efficiency `f_target` and
+/// preferring the largest such payload. `adapt_fraction` is the d+s budget
+/// as a fraction of n (0.1 is typical). Throws Error{kConfig} when even the
 /// smallest code's payload exceeds the key.
 FramePlan plan_frame_fitting(std::size_t key_bits, double qber,
                              double f_target, double adapt_fraction = 0.10);

@@ -1,6 +1,7 @@
 #include "reconcile/reconciler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/arena.hpp"
 #include "common/entropy.hpp"
@@ -11,8 +12,7 @@ namespace qkdpp::reconcile {
 
 LdpcFrameSender::LdpcFrameSender(const FramePlan& plan, const BitVec& payload,
                                  std::uint64_t frame_seed,
-                                 Xoshiro256& private_rng)
-    : plan_(plan) {
+                                 Xoshiro256& private_rng) {
   const LdpcCode& code = code_by_id(plan.code_id);
   QKDPP_REQUIRE(payload.size() == plan.payload_bits,
                 "payload does not match frame plan");
@@ -30,10 +30,10 @@ LdpcFrameSender::LdpcFrameSender(const FramePlan& plan, const BitVec& payload,
   syndrome_ = code.syndrome(frame_);
 }
 
-LdpcFrameSender::Reveal LdpcFrameSender::reveal_chunk(
-    unsigned round, unsigned max_rounds) const {
+BlindReveal LdpcFrameSender::reveal_chunk(unsigned round,
+                                          unsigned max_rounds) const {
   QKDPP_REQUIRE(round >= 1, "blind rounds are 1-based");
-  Reveal reveal;
+  BlindReveal reveal;
   const std::size_t total = adaptation_.punctured.size();
   if (total == 0 || max_rounds == 0) return reveal;
   const std::size_t chunk = (total + max_rounds - 1) / max_rounds;
@@ -47,121 +47,88 @@ LdpcFrameSender::Reveal LdpcFrameSender::reveal_chunk(
   return reveal;
 }
 
-LdpcFrameReceiver::LdpcFrameReceiver(const FramePlan& plan,
-                                     const BitVec& payload,
-                                     std::uint64_t frame_seed, double qber,
-                                     DecoderConfig decoder)
-    : plan_(plan), decoder_(decoder) {
-  const LdpcCode& code = code_by_id(plan.code_id);
-  QKDPP_REQUIRE(payload.size() == plan.payload_bits,
-                "payload does not match frame plan");
-  adaptation_ = derive_adaptation(code.n(), plan.n_punctured,
-                                  plan.n_shortened, frame_seed);
-  const float channel = bsc_llr(qber);
-  llr_.assign(code.n(), 0.0f);
-  for (std::size_t i = 0; i < adaptation_.payload.size(); ++i) {
-    llr_[adaptation_.payload[i]] = payload.get(i) ? -channel : channel;
+LdpcBlockFraming frame_ldpc_block(std::size_t key_bits, double qber,
+                                  std::uint64_t block_id,
+                                  const LdpcReconcilerConfig& config) {
+  LdpcBlockFraming framing;
+  // The batched planner prefers codes that cut the key into enough frames
+  // to fill the lockstep decoder's lanes.
+  framing.plan =
+      plan_frame_batched(key_bits, qber, config.f_target,
+                         config.adapt_fraction, config.batch_target_frames);
+  const std::size_t frames = key_bits / framing.plan.payload_bits;
+  framing.frame_seeds.resize(frames);
+  for (std::size_t f = 0; f < frames; ++f) {
+    framing.frame_seeds[f] = (block_id << 20) ^ (f * 0x9e3779b97f4a7c15ULL);
   }
-  for (const auto s : adaptation_.shortened) llr_[s] = kKnownLlr;
-  // Punctured positions stay at LLR 0 (erasures).
+  return framing;
 }
 
-LdpcFrameReceiver::Attempt LdpcFrameReceiver::try_decode(
-    const BitVec& syndrome) {
-  const LdpcCode& code = code_by_id(plan_.code_id);
-  const DecodeResult result =
-      decode_syndrome_quant(code, syndrome, llr_, decoder_);
-  decoded_ = result.word;
-  return Attempt{result.converged, result.iterations};
+std::uint64_t cascade_block_seed(std::uint64_t block_id) noexcept {
+  return block_id * 0x2545f4914f6cdd1dULL + 1;
 }
 
-void LdpcFrameReceiver::apply_reveal(
-    const std::vector<std::uint32_t>& positions, const BitVec& values) {
-  QKDPP_REQUIRE(positions.size() == values.size(), "reveal shape mismatch");
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    QKDPP_REQUIRE(positions[i] < llr_.size(), "reveal position out of range");
-    llr_[positions[i]] = values.get(i) ? -kKnownLlr : kKnownLlr;
+LdpcResponder::LdpcResponder(const BitVec& alice_key, const FramePlan& plan,
+                             std::span<const std::uint64_t> frame_seeds,
+                             unsigned max_blind_rounds,
+                             Xoshiro256& private_rng, BlockArena* arena)
+    : max_blind_rounds_(max_blind_rounds) {
+  const std::size_t frames = frame_seeds.size();
+  QKDPP_REQUIRE(frames * plan.payload_bits <= alice_key.size(),
+                "frames exceed key length");
+  BitVec local_payload;
+  BitVec& payload = arena != nullptr ? arena->scratch_bits() : local_payload;
+  senders_.reserve(frames);
+  syndromes_.reserve(frames);
+  for (std::size_t f = 0; f < frames; ++f) {
+    alice_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
+    senders_.emplace_back(plan, payload, frame_seeds[f], private_rng);
+    syndromes_.push_back(senders_.back().syndrome());
   }
 }
 
-BitVec LdpcFrameReceiver::corrected_payload() const {
-  return decoded_.gather(adaptation_.payload);
+BlindReveal LdpcResponder::reveal(std::uint32_t frame,
+                                  std::uint32_t round) const {
+  QKDPP_REQUIRE(frame < senders_.size(), "reveal frame out of range");
+  return senders_[frame].reveal_chunk(round, max_blind_rounds_);
 }
 
-ReconcileOutcome ldpc_reconcile_local(const BitVec& alice_payload,
-                                      const BitVec& bob_payload, double qber,
-                                      const FramePlan& plan,
-                                      std::uint64_t frame_seed,
-                                      const LdpcReconcilerConfig& config,
-                                      Xoshiro256& alice_private_rng) {
-  const LdpcCode& code = code_by_id(plan.code_id);
-  LdpcFrameSender alice(plan, alice_payload, frame_seed, alice_private_rng);
-  LdpcFrameReceiver bob(plan, bob_payload, frame_seed, qber, config.decoder);
-
-  ReconcileOutcome outcome;
-  outcome.rounds = 1;  // syndrome message
-  outcome.leaked_bits = code.m() - plan.n_punctured;
-
-  auto attempt = bob.try_decode(alice.syndrome());
-  outcome.decoder_iterations = attempt.iterations;
-  unsigned round = 0;
-  while (!attempt.converged && round < config.max_blind_rounds) {
-    ++round;
-    const auto reveal = alice.reveal_chunk(round, config.max_blind_rounds);
-    if (reveal.positions.empty()) break;
-    bob.apply_reveal(reveal.positions, reveal.values);
-    outcome.leaked_bits += reveal.positions.size();
-    outcome.rounds += 1;
-    attempt = bob.try_decode(alice.syndrome());
-    outcome.decoder_iterations += attempt.iterations;
+std::vector<BlindReveal> LdpcResponder::reveal(
+    std::span<const RevealQuery> queries) {
+  std::vector<BlindReveal> reveals;
+  reveals.reserve(queries.size());
+  for (const RevealQuery& query : queries) {
+    reveals.push_back(reveal(query.frame, query.round));
   }
-  outcome.blind_rounds = round;
-  outcome.success = attempt.converged;
-  if (outcome.success) {
-    outcome.corrected = bob.corrected_payload();
-    // Converged to the wrong codeword? The verification stage catches it;
-    // the outcome still reports success at this layer.
-  }
-  outcome.efficiency =
-      static_cast<double>(outcome.leaked_bits) /
-      (static_cast<double>(plan.payload_bits) * binary_entropy(qber));
-  return outcome;
+  return reveals;
 }
 
-BatchReconcileStats ldpc_reconcile_key_batch(
-    const BitVec& alice_key, const BitVec& bob_key, double qber,
-    const FramePlan& plan, std::span<const std::uint64_t> frame_seeds,
-    const LdpcReconcilerConfig& config, Xoshiro256& alice_private_rng,
-    BlockArena* arena, BitVec& alice_out, BitVec& bob_out,
+BatchReconcileStats ldpc_decode_block(
+    const BitVec& bob_key, double qber, const FramePlan& plan,
+    std::span<const std::uint64_t> frame_seeds,
+    std::span<const BitVec> syndromes, const LdpcReconcilerConfig& config,
+    RevealOracle& oracle, BlockArena* arena, BitVec& bob_out,
     std::vector<ReconcileOutcome>* per_frame) {
   const LdpcCode& code = code_by_id(plan.code_id);
   const std::size_t frames = frame_seeds.size();
-  QKDPP_REQUIRE(alice_key.size() == bob_key.size(),
-                "batch keys must have equal length");
-  QKDPP_REQUIRE(frames * plan.payload_bits <= alice_key.size(),
+  QKDPP_REQUIRE(syndromes.size() == frames, "one syndrome per frame");
+  QKDPP_REQUIRE(frames * plan.payload_bits <= bob_key.size(),
                 "frames exceed key length");
   BatchReconcileStats stats;
   stats.frames = frames;
+  stats.converged = BitVec(frames);
   if (per_frame != nullptr) per_frame->assign(frames, ReconcileOutcome{});
   if (frames == 0) return stats;
 
   DecoderConfig decoder = config.decoder;
   if (arena != nullptr) decoder.arena = arena;
+  decoder.max_iterations =
+      std::min(decoder.max_iterations, kBlindAttemptIterations);
 
-  // Alice's frames, built in frame order so her private RNG stream is
-  // consumed exactly as the sequential single-frame path consumes it.
+  // Priors: channel LLRs at payload positions, pinned shortened positions,
+  // erased (punctured) positions at zero.
   BitVec local_payload;
   BitVec& payload = arena != nullptr ? arena->scratch_bits() : local_payload;
-  std::vector<LdpcFrameSender> senders;
-  senders.reserve(frames);
-  for (std::size_t f = 0; f < frames; ++f) {
-    alice_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
-    senders.emplace_back(plan, payload, frame_seeds[f], alice_private_rng);
-  }
-
-  // Bob's priors, identical to LdpcFrameReceiver's construction: channel
-  // LLRs at payload positions, pinned shortened positions, erased
-  // (punctured) positions at zero.
   const float channel = bsc_llr(qber);
   std::vector<RateAdaptation> adaptations(frames);
   std::vector<std::vector<float>> llrs(frames);
@@ -191,14 +158,15 @@ BatchReconcileStats ldpc_reconcile_key_batch(
   for (auto& acct : account) acct.leaked = code.m() - plan.n_punctured;
 
   // Blind stages: every pending frame decodes in lockstep (sub-batches of
-  // kMaxBatchFrames); survivors apply their own next reveal chunk and ride
-  // into the next, smaller batch.
+  // kMaxBatchFrames); the failures ask for their own next reveal chunk in
+  // one oracle call and ride into the next, smaller batch.
   std::vector<std::uint32_t> pending(frames);
   for (std::size_t f = 0; f < frames; ++f) {
     pending[f] = static_cast<std::uint32_t>(f);
   }
   std::vector<QuantDecodeJob> jobs;
   std::vector<DecodeResult> results;
+  std::vector<RevealQuery> queries;
   while (!pending.empty()) {
     for (std::size_t off = 0; off < pending.size(); off += kMaxBatchFrames) {
       const std::size_t count =
@@ -206,7 +174,7 @@ BatchReconcileStats ldpc_reconcile_key_batch(
       jobs.clear();
       for (std::size_t i = 0; i < count; ++i) {
         const std::uint32_t f = pending[off + i];
-        jobs.push_back(QuantDecodeJob{&senders[f].syndrome(), &llrs[f]});
+        jobs.push_back(QuantDecodeJob{&syndromes[f], &llrs[f]});
       }
       decode_syndrome_batch(code, jobs, decoder, results);
       for (std::size_t i = 0; i < count; ++i) {
@@ -220,37 +188,44 @@ BatchReconcileStats ldpc_reconcile_key_batch(
         }
       }
     }
-    std::vector<std::uint32_t> survivors;
+    queries.clear();
     for (const std::uint32_t f : pending) {
       FrameAccount& acct = account[f];
       if (acct.converged || acct.blind >= config.max_blind_rounds) continue;
       acct.blind += 1;
-      const auto reveal =
-          senders[f].reveal_chunk(acct.blind, config.max_blind_rounds);
+      queries.push_back(RevealQuery{f, acct.blind});
+    }
+    pending.clear();
+    if (queries.empty()) break;
+    const std::vector<BlindReveal> reveals = oracle.reveal(queries);
+    QKDPP_REQUIRE(reveals.size() == queries.size(), "one reveal per query");
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const std::uint32_t f = queries[q].frame;
+      const BlindReveal& reveal = reveals[q];
       if (reveal.positions.empty()) continue;  // nothing left to disclose
+      QKDPP_REQUIRE(reveal.positions.size() == reveal.values.size(),
+                    "reveal shape mismatch");
       for (std::size_t i = 0; i < reveal.positions.size(); ++i) {
+        QKDPP_REQUIRE(reveal.positions[i] < code.n(),
+                      "reveal position out of range");
         llrs[f][reveal.positions[i]] =
             reveal.values.get(i) ? -kKnownLlr : kKnownLlr;
       }
-      acct.leaked += reveal.positions.size();
-      acct.rounds += 1;
-      survivors.push_back(f);
+      account[f].leaked += reveal.positions.size();
+      account[f].rounds += 1;
+      pending.push_back(f);
     }
-    pending = std::move(survivors);
   }
 
   const double h = binary_entropy(qber);
   for (std::size_t f = 0; f < frames; ++f) {
     const FrameAccount& acct = account[f];
     stats.iterations += acct.iterations;
-    stats.blind_rounds += acct.blind;
     stats.leaked_bits += acct.leaked;
     stats.rounds += acct.rounds;
     if (acct.converged) {
-      stats.frames_ok += 1;
+      stats.converged.set(f, true);
       if (acct.early_exit) stats.early_exit_frames += 1;
-      alice_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
-      alice_out.append(payload);
       bob_out.append(acct.corrected);
     }
     if (per_frame != nullptr) {
@@ -266,6 +241,36 @@ BatchReconcileStats ldpc_reconcile_key_batch(
           (static_cast<double>(plan.payload_bits) * h);
     }
   }
+  return stats;
+}
+
+void append_converged_frames(const BitVec& key, std::size_t payload_bits,
+                             const BitVec& converged, BitVec& out) {
+  QKDPP_REQUIRE(converged.size() * payload_bits <= key.size(),
+                "frames exceed key length");
+  BitVec payload;
+  for (std::size_t f = 0; f < converged.size(); ++f) {
+    if (!converged.get(f)) continue;
+    key.subvec_into(f * payload_bits, payload_bits, payload);
+    out.append(payload);
+  }
+}
+
+BatchReconcileStats ldpc_reconcile_key_batch(
+    const BitVec& alice_key, const BitVec& bob_key, double qber,
+    const FramePlan& plan, std::span<const std::uint64_t> frame_seeds,
+    const LdpcReconcilerConfig& config, Xoshiro256& alice_private_rng,
+    BlockArena* arena, BitVec& alice_out, BitVec& bob_out,
+    std::vector<ReconcileOutcome>* per_frame) {
+  QKDPP_REQUIRE(alice_key.size() == bob_key.size(),
+                "batch keys must have equal length");
+  LdpcResponder alice(alice_key, plan, frame_seeds, config.max_blind_rounds,
+                      alice_private_rng, arena);
+  BatchReconcileStats stats =
+      ldpc_decode_block(bob_key, qber, plan, frame_seeds, alice.syndromes(),
+                        config, alice, arena, bob_out, per_frame);
+  append_converged_frames(alice_key, plan.payload_bits, stats.converged,
+                          alice_out);
   return stats;
 }
 

@@ -1,19 +1,23 @@
-// High-level reconciliation API: one call per frame, with exact leakage and
-// efficiency reporting. Two families behind one result type:
+// High-level reconciliation API: one exchange per block, with exact leakage
+// and efficiency reporting. Two families behind one result type:
 //
-//   * LdpcReconciler - one-way syndrome coding with blind (incremental)
-//     rate adaptation; the Alice->Bob payload is a single message, failures
-//     cost one extra round per blind reveal.
+//   * LDPC - one-way syndrome coding with blind (incremental) rate
+//     adaptation: Alice sends one syndrome per frame, Bob decodes the
+//     block's frames in lockstep, and a failed attempt costs one extra
+//     round per blind reveal.
 //   * Cascade (see cascade.hpp) - interactive, efficiency ~1.05-1.2 but
 //     O(log n) round trips per error.
 //
-// The pipeline chooses per block; reconcile_ldpc_test pins the trade-off
-// (Cascade leaks less but talks more).
+// Both draw their per-block seeds from the block id (frame_ldpc_block,
+// cascade_block_seed), so the engine and the two-party session reconcile a
+// block the same way. The pipeline chooses the family per block;
+// reconcile_ldpc_test pins the trade-off (Cascade leaks less but talks
+// more).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
@@ -51,6 +55,12 @@ struct LdpcReconcilerConfig {
   DecoderConfig decoder;
 };
 
+/// Values of punctured positions Alice discloses in one blind round.
+struct BlindReveal {
+  std::vector<std::uint32_t> positions;
+  BitVec values;
+};
+
 /// Alice-side state for one LDPC frame: keeps the filled frame (payload +
 /// private punctured randomness) so blind reveals can be served.
 class LdpcFrameSender {
@@ -60,85 +70,122 @@ class LdpcFrameSender {
                   std::uint64_t frame_seed, Xoshiro256& private_rng);
 
   const BitVec& syndrome() const noexcept { return syndrome_; }
-  const FramePlan& plan() const noexcept { return plan_; }
 
   /// Serve blind round `round` (1-based): the values of the next chunk of
   /// punctured positions. Empty when everything is already revealed.
-  struct Reveal {
-    std::vector<std::uint32_t> positions;
-    BitVec values;
-  };
-  Reveal reveal_chunk(unsigned round, unsigned max_rounds) const;
+  BlindReveal reveal_chunk(unsigned round, unsigned max_rounds) const;
 
  private:
-  FramePlan plan_;
   RateAdaptation adaptation_;
   BitVec frame_;
   BitVec syndrome_;
 };
 
-/// Bob-side decoder for one LDPC frame.
-class LdpcFrameReceiver {
- public:
-  LdpcFrameReceiver(const FramePlan& plan, const BitVec& payload,
-                    std::uint64_t frame_seed, double qber,
-                    DecoderConfig decoder);
+// --- one block's LDPC exchange ---------------------------------------------
+// Cascade's shape: Alice's half (LdpcResponder), Bob's half
+// (ldpc_decode_block) and a RevealOracle between them - the responder
+// itself in process, BlindRequest/BlindResponse over a session's channel.
 
-  /// Attempt decode against Alice's syndrome. Call apply_reveal() between
-  /// attempts on failure.
-  struct Attempt {
-    bool converged = false;
-    unsigned iterations = 0;
-  };
-  Attempt try_decode(const BitVec& syndrome);
-
-  void apply_reveal(const std::vector<std::uint32_t>& positions,
-                    const BitVec& values);
-
-  /// Corrected payload; only meaningful after a converged attempt.
-  BitVec corrected_payload() const;
-
- private:
-  FramePlan plan_;
-  RateAdaptation adaptation_;
-  std::vector<float> llr_;
-  DecoderConfig decoder_;
-  BitVec decoded_;
+/// Alice's framing of a block, announced in its ReconcileStart messages.
+struct LdpcBlockFraming {
+  FramePlan plan;                          ///< shared by every frame
+  std::vector<std::uint64_t> frame_seeds;  ///< one per frame
 };
 
-/// Run the whole LDPC exchange in-process (tests, benches, offline
-/// pipeline): Alice = `alice_payload`, Bob = `bob_payload`.
-ReconcileOutcome ldpc_reconcile_local(const BitVec& alice_payload,
-                                      const BitVec& bob_payload, double qber,
-                                      const FramePlan& plan,
-                                      std::uint64_t frame_seed,
-                                      const LdpcReconcilerConfig& config,
-                                      Xoshiro256& alice_private_rng);
+/// Frame a key of `key_bits` bits for block `block_id`: plan_frame_batched
+/// with the config's target, budget and lane target, key_bits /
+/// payload_bits frames, each seeded from the block id. Throws
+/// Error{kConfig} when the key is shorter than every frame payload.
+LdpcBlockFraming frame_ldpc_block(std::size_t key_bits, double qber,
+                                  std::uint64_t block_id,
+                                  const LdpcReconcilerConfig& config);
 
-/// Aggregate statistics for one batched reconcile call (all counters are
-/// sums over frames unless noted).
+/// Cascade's permutation seed for block `block_id`.
+std::uint64_t cascade_block_seed(std::uint64_t block_id) noexcept;
+
+/// Per-attempt iteration cap of the lockstep blind loop (a lower decoder
+/// cap in the config wins). A failed attempt costs its full budget across
+/// every live lane, and frames that need more almost always converge right
+/// after the next blind reveal instead: against a 60-iteration cap this
+/// cut wall time 2-3x at low QBER with the same (occasionally lower) leak.
+inline constexpr unsigned kBlindAttemptIterations = 20;
+
+/// A blind reveal Bob asks for: chunk `round` (1-based) of frame `frame`.
+struct RevealQuery {
+  std::uint32_t frame = 0;
+  std::uint32_t round = 0;
+};
+
+/// Bob's window onto Alice's punctured bits. One call is one protocol round
+/// trip: the reveals of every query, in query order.
+class RevealOracle {
+ public:
+  virtual ~RevealOracle() = default;
+  virtual std::vector<BlindReveal> reveal(
+      std::span<const RevealQuery> queries) = 0;
+};
+
+/// Alice's half: one LdpcFrameSender per frame, built in frame order from
+/// her private RNG; frame f carries alice_key bits [f * payload, (f + 1) *
+/// payload). Reveals are cut into `max_blind_rounds` chunks. `arena`
+/// (nullable) backs payload scratch.
+class LdpcResponder final : public RevealOracle {
+ public:
+  LdpcResponder(const BitVec& alice_key, const FramePlan& plan,
+                std::span<const std::uint64_t> frame_seeds,
+                unsigned max_blind_rounds, Xoshiro256& private_rng,
+                BlockArena* arena = nullptr);
+
+  std::size_t frames() const noexcept { return senders_.size(); }
+  std::span<const BitVec> syndromes() const noexcept { return syndromes_; }
+
+  /// Requires frame < frames() and round >= 1; callers serving untrusted
+  /// requests check both first.
+  BlindReveal reveal(std::uint32_t frame, std::uint32_t round) const;
+  std::vector<BlindReveal> reveal(
+      std::span<const RevealQuery> queries) override;
+
+ private:
+  std::vector<LdpcFrameSender> senders_;
+  std::vector<BitVec> syndromes_;
+  unsigned max_blind_rounds_;
+};
+
+/// Aggregate statistics for one block's exchange (all counters are sums
+/// over frames unless noted).
 struct BatchReconcileStats {
   std::uint64_t frames = 0;
-  std::uint64_t frames_ok = 0;       ///< converged frames
+  BitVec converged;                  ///< one bit per frame, in frame order
   std::uint64_t iterations = 0;      ///< decoder iterations, all attempts
   std::uint64_t early_exit_frames = 0;  ///< converged before the iteration cap
-  std::uint64_t blind_rounds = 0;
   std::uint64_t leaked_bits = 0;
   std::uint64_t rounds = 0;          ///< protocol round-trips
 };
 
-/// Reconcile frame_seeds.size() consecutive payload-sized slices of the
-/// two keys in lockstep: all frames share one quantized batch decode per
-/// blind stage, failed frames apply their own reveal chunk and re-decode
-/// as a shrinking sub-batch. Surviving payload pairs are appended to
-/// alice_out / bob_out in frame order (failed frames are skipped but
-/// their leakage still counts). Per-frame results - corrected payloads,
-/// leak accounting, rounds - are bit-identical to calling
-/// ldpc_reconcile_local frame by frame with the same shared private RNG
-/// and DecoderConfig (the equivalence the reconcile_batch tests pin
-/// down). `per_frame`, when non-null, receives one
-/// ReconcileOutcome per frame. `arena` (nullable) backs the decoder and
-/// payload scratch.
+/// Bob's half: decode frame_seeds.size() consecutive payload slices of
+/// `bob_key` against Alice's `syndromes` in lockstep. Each blind stage is
+/// one batch decode of every pending frame (attempts capped at
+/// kBlindAttemptIterations) and one `oracle` call for the failed frames'
+/// next reveal chunks. Converged frames' corrected payloads are appended to
+/// `bob_out` in frame order; failed frames' leakage still counts.
+/// `per_frame` (nullable) receives one ReconcileOutcome per frame; `arena`
+/// (nullable) backs the decoder and payload scratch.
+BatchReconcileStats ldpc_decode_block(
+    const BitVec& bob_key, double qber, const FramePlan& plan,
+    std::span<const std::uint64_t> frame_seeds,
+    std::span<const BitVec> syndromes, const LdpcReconcilerConfig& config,
+    RevealOracle& oracle, BlockArena* arena, BitVec& bob_out,
+    std::vector<ReconcileOutcome>* per_frame = nullptr);
+
+/// Append the payload slices of `key` whose bit is set in `converged`
+/// (frame f = bits [f * payload_bits, (f + 1) * payload_bits)) to `out`, in
+/// frame order: Alice's side of the reconciled key.
+void append_converged_frames(const BitVec& key, std::size_t payload_bits,
+                             const BitVec& converged, BitVec& out);
+
+/// The whole exchange in process (the engine's reconcile stage, tests):
+/// Alice's responder over `alice_key` is Bob's oracle. Surviving payload
+/// pairs are appended to alice_out / bob_out in frame order.
 BatchReconcileStats ldpc_reconcile_key_batch(
     const BitVec& alice_key, const BitVec& bob_key, double qber,
     const FramePlan& plan, std::span<const std::uint64_t> frame_seeds,

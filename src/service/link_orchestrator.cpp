@@ -134,7 +134,6 @@ LinkOrchestrator::LinkOrchestrator(OrchestratorConfig config)
 
     engine::EngineOptions options;
     options.shared_devices = devices_;
-    options.policy = config_.policy;
     options.threads = config_.device_threads;
     options.workload = workload_for(spec, spec.link);
     links_.back().engine = std::make_unique<engine::PostprocessEngine>(

@@ -153,7 +153,6 @@ struct OrchestratorConfig {
   /// determinism is unaffected - each link's rng stream and block order
   /// live in its LinkState, not in which worker runs it.
   std::size_t workers = 0;
-  engine::PlacementPolicy policy = engine::PlacementPolicy::kOptimized;
   /// Bound applied to every link pair's KeyStore.
   pipeline::KeyStoreConfig store;
   /// Adaptive re-planning posture (default: static, the PR-1 behaviour).

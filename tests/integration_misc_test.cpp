@@ -4,6 +4,8 @@
 // across module seams.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/ntt.hpp"
 #include "common/rng.hpp"
@@ -110,7 +112,7 @@ TEST(FailureInjection, UndecodableFrameReportsFailureNotCorruption) {
   // must fail cleanly (success=false), never return wrong bits as success.
   Xoshiro256 rng(8);
   Xoshiro256 private_rng(9);
-  const auto plan = reconcile::plan_frame(4096, 0.01, 1.1);
+  const auto plan = reconcile::plan_frame_batched(4096, 0.01, 1.1);
   const BitVec alice = rng.random_bits(plan.payload_bits);
   BitVec bob = alice;
   for (std::size_t i = 0; i < bob.size(); ++i) {
@@ -118,8 +120,14 @@ TEST(FailureInjection, UndecodableFrameReportsFailureNotCorruption) {
   }
   reconcile::LdpcReconcilerConfig config;
   config.max_blind_rounds = 0;
-  const auto outcome = reconcile::ldpc_reconcile_local(
-      alice, bob, 0.09, plan, 77, config, private_rng);
+  const std::uint64_t seeds[] = {77};
+  BitVec alice_out;
+  BitVec bob_out;
+  std::vector<reconcile::ReconcileOutcome> per_frame;
+  reconcile::ldpc_reconcile_key_batch(alice, bob, 0.09, plan, seeds, config,
+                                      private_rng, /*arena=*/nullptr,
+                                      alice_out, bob_out, &per_frame);
+  const reconcile::ReconcileOutcome& outcome = per_frame.at(0);
   if (outcome.success) {
     // If BP somehow converged it must be to a syndrome-consistent word;
     // verification (not reconciliation) decides equality with Alice.

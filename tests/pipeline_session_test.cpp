@@ -1,6 +1,7 @@
 // Two-party session integration tests: Alice and Bob on separate threads
 // over the in-process channel (raw and Wegman-Carter authenticated),
-// producing identical keys; adversarial paths abort cleanly on both ends.
+// producing identical keys - the very keys the engine distills from the
+// same block; adversarial paths abort cleanly on both ends.
 #include "pipeline/session.hpp"
 
 #include <gtest/gtest.h>
@@ -8,9 +9,14 @@
 #include <future>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
+#include "engine/engine.hpp"
+#include "engine/primitives.hpp"
+#include "engine/sim_adapter.hpp"
 #include "protocol/auth_channel.hpp"
 #include "sim/bb84.hpp"
 
@@ -228,18 +234,110 @@ TEST(Session, DifferentAliceSeedsGiveDifferentKeys) {
   EXPECT_NE(alice1.final_key, alice2.final_key);
 }
 
+// The session and PostprocessEngine::process_block are one stage chain:
+// fed the same BlockInput, block id and RNG seed, both peers must reach the
+// engine's verdict, and on success hold its final key and EC leakage.
+struct EngineMatchCase {
+  const char* name;
+  double km;
+  double misalignment;
+  protocol::ReconcileMethod method;
+  double sifted_bits;  ///< per-block target
+};
+
+class SessionMatchesEngine : public ::testing::TestWithParam<EngineMatchCase> {
+};
+
+TEST_P(SessionMatchesEngine, BothPeersEndWithTheEngineKey) {
+  const EngineMatchCase& param = GetParam();
+  SessionConfig config;
+  config.method = param.method;
+  engine::PostprocessEngine engine(config, engine::EngineOptions::cpu_only());
+  sim::LinkConfig link;
+  link.channel.length_km = param.km;
+  link.channel.misalignment = param.misalignment;
+  const sim::Bb84Simulator simulator(link);
+  Xoshiro256 link_rng(2024);
+
+  const std::size_t pulses = sim::pulses_for_sifted_target(
+      link, param.sifted_bits, std::size_t{1} << 16, std::size_t{1} << 24);
+
+  constexpr std::uint64_t kBlocks = 6;
+  std::uint64_t distilled = 0;
+  for (std::uint64_t block_id = 1; block_id <= kBlocks; ++block_id) {
+    const auto record = simulator.run(pulses, link_rng);
+    const engine::BlockInput input = engine::make_block_input(record, block_id);
+    const std::uint64_t rng_seed = 500 + block_id;
+    Xoshiro256 engine_rng(rng_seed);
+    const engine::BlockOutcome expected =
+        engine.process_block(input, block_id, engine_rng);
+
+    BobDetections bob_view;
+    bob_view.block_id = block_id;
+    bob_view.n_pulses = record.n_pulses;
+    bob_view.detected_idx = record.detected_idx;
+    bob_view.bits = record.bob_bits;
+    bob_view.bases = record.bob_bases;
+    auto [alice_channel, bob_channel] = protocol::make_channel_pair();
+    auto alice_future = std::async(std::launch::async, [&] {
+      Xoshiro256 rng(rng_seed);
+      return run_alice_session(*alice_channel, input.log, block_id, config,
+                               rng);
+    });
+    const SessionResult bob = run_bob_session(*bob_channel, bob_view, config);
+    const SessionResult alice = alice_future.get();
+
+    EXPECT_EQ(alice.success, expected.success)
+        << "block " << block_id << ": " << alice.abort_reason << " vs "
+        << expected.abort_reason;
+    EXPECT_EQ(bob.success, expected.success)
+        << "block " << block_id << ": " << bob.abort_reason << " vs "
+        << expected.abort_reason;
+    EXPECT_EQ(alice.sifted_bits, expected.sifted_bits) << "block " << block_id;
+    if (!expected.success) continue;
+    ++distilled;
+    EXPECT_EQ(alice.final_key, expected.final_key) << "block " << block_id;
+    EXPECT_EQ(bob.final_key, expected.final_key) << "block " << block_id;
+    EXPECT_EQ(alice.leak_ec_bits, expected.leak_ec_bits)
+        << "block " << block_id;
+    EXPECT_EQ(bob.leak_ec_bits, expected.leak_ec_bits)
+        << "block " << block_id;
+    EXPECT_EQ(alice.reconciled_bits, expected.reconciled_bits)
+        << "block " << block_id;
+  }
+  // The comparison must cover real keys, not a run of matching aborts.
+  EXPECT_GE(distilled, kBlocks - 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configurations, SessionMatchesEngine,
+    ::testing::Values(
+        EngineMatchCase{"Ldpc10km", 10.0, 0.015,
+                        protocol::ReconcileMethod::kLdpc, 20000.0},
+        EngineMatchCase{"Ldpc25km", 25.0, 0.015,
+                        protocol::ReconcileMethod::kLdpc, 20000.0},
+        // QBER ~4.9%: the finite-key cost needs the noisy-cascade ladder
+        // workload's 40k sifted bits before a block distills.
+        EngineMatchCase{"Cascade25kmMisaligned", 25.0, 0.045,
+                        protocol::ReconcileMethod::kCascade, 40000.0}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 // Reconcile-stage fields a hostile Alice can put on the wire.
 enum class HostileField {
   kNoPayloadPlan,      // n_punctured + n_shortened == n: zero payload bits
-  kShortSyndrome,      // syndrome one bit shorter than code.m()
+  kShortSyndrome,      // last frame's syndrome one bit shorter than code.m()
   kBlindShape,         // BlindResponse with more positions than values
   kBlindPosition,      // BlindResponse revealing position n
   kNanQberHint,        // qber_hint NaN: would reach a float-to-int cast
+  kUnknownCode,        // code_id outside the code table
+  kPlanChanges,        // last frame's puncture count differs from the first
+  kUnaskedFrame,       // BlindResponse for a frame Bob did not ask about
 };
 
-// A scripted Alice: honest through sifting and estimation, then sends the
-// hostile reconcile field. Bob must end the session with a typed protocol
-// fault instead of crashing or leaking an untyped exception.
+// A scripted Alice: honest through sifting and estimation, then streams a
+// whole block's ReconcileStarts carrying the hostile field. Bob must end
+// the session with a typed protocol fault instead of crashing or leaking
+// an untyped exception.
 class HostileAlice : public ::testing::TestWithParam<HostileField> {};
 
 TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
@@ -257,46 +355,71 @@ TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
       return protocol::decode_message(ch.receive());
     };
     const auto report = std::get<protocol::DetectionReport>(receive());
-    send(protocol::sift_alice(data.alice_log, report).result);
+    const auto sift = protocol::sift_alice(data.alice_log, report);
+    send(sift.result);
     send(protocol::PeReveal{1, {}, {}});  // reveal nothing: all key
     (void)std::get<protocol::PeReport>(receive());
     send(protocol::PeVerdict{1, true, 0.02, 0.03});
 
-    protocol::ReconcileStart start;
-    start.block_id = 1;
-    start.perm_seed = 7;
-    start.code_id = 0;
-    start.qber_hint = 0.02;
+    // The honest plan (code 0, nothing punctured or shortened) cuts the
+    // signal bits into whole 1024-bit frames; Bob expects one start each.
+    const std::size_t frames = sift.result.signal_mask.popcount() / code.n();
     Xoshiro256 rng(11);
-    // A random syndrome is far from Bob's word: the first decode fails and
-    // Bob asks for a blind reveal.
-    start.syndrome = rng.random_bits(code.m());
-    if (field == HostileField::kNoPayloadPlan) {
-      start.n_punctured = static_cast<std::uint32_t>(code.n() / 2);
-      start.n_shortened = static_cast<std::uint32_t>(code.n()) -
-                          start.n_punctured;
+    for (std::size_t f = 0; f < frames; ++f) {
+      const bool last = f + 1 == frames;
+      protocol::ReconcileStart start;
+      start.block_id = 1;
+      start.perm_seed = 7 + f;
+      start.code_id = 0;
+      start.qber_hint = 0.02;
+      // A random syndrome is far from Bob's word: every decode fails and
+      // Bob asks for a blind reveal of every frame.
+      start.syndrome = rng.random_bits(code.m());
+      switch (field) {
+        case HostileField::kNoPayloadPlan:
+          start.n_punctured = static_cast<std::uint32_t>(code.n() / 2);
+          start.n_shortened =
+              static_cast<std::uint32_t>(code.n()) - start.n_punctured;
+          break;
+        case HostileField::kShortSyndrome:
+          if (last) start.syndrome = rng.random_bits(code.m() - 1);
+          break;
+        case HostileField::kNanQberHint:
+          start.qber_hint = std::numeric_limits<double>::quiet_NaN();
+          break;
+        case HostileField::kUnknownCode:
+          start.code_id = 9999;
+          break;
+        case HostileField::kPlanChanges:
+          if (last) start.n_punctured = 1;
+          break;
+        default:
+          break;
+      }
+      send(start);
     }
-    if (field == HostileField::kShortSyndrome) {
-      start.syndrome = rng.random_bits(code.m() - 1);
-    }
-    if (field == HostileField::kNanQberHint) {
-      start.qber_hint = std::numeric_limits<double>::quiet_NaN();
-    }
-    send(start);
     if (field != HostileField::kBlindShape &&
-        field != HostileField::kBlindPosition) {
+        field != HostileField::kBlindPosition &&
+        field != HostileField::kUnaskedFrame) {
       return;
     }
-    const auto request = std::get<protocol::BlindRequest>(receive());
+    // Bob sends a whole blind stage's requests before reading an answer.
+    std::vector<protocol::BlindRequest> requests;
+    for (std::size_t f = 0; f < frames; ++f) {
+      requests.push_back(std::get<protocol::BlindRequest>(receive()));
+    }
     protocol::BlindResponse response;
     response.block_id = 1;
-    response.round = request.round;
+    response.frame = requests.front().frame;
+    response.round = requests.front().round;
     if (field == HostileField::kBlindShape) {
       response.positions = {1, 2};
       response.values = BitVec(1);
-    } else {
+    } else if (field == HostileField::kBlindPosition) {
       response.positions = {static_cast<std::uint32_t>(code.n())};
       response.values = BitVec(1);
+    } else {
+      response.frame = static_cast<std::uint32_t>(frames);
     }
     send(response);
   };
@@ -326,7 +449,10 @@ INSTANTIATE_TEST_SUITE_P(ReconcileFields, HostileAlice,
                                            HostileField::kShortSyndrome,
                                            HostileField::kBlindShape,
                                            HostileField::kBlindPosition,
-                                           HostileField::kNanQberHint));
+                                           HostileField::kNanQberHint,
+                                           HostileField::kUnknownCode,
+                                           HostileField::kPlanChanges,
+                                           HostileField::kUnaskedFrame));
 
 // Reconcile-stage fields a hostile Bob can put on the wire.
 enum class HostileRequest {
@@ -334,21 +460,25 @@ enum class HostileRequest {
   kRangeEnd,    // Cascade: range end 2^30, far past the key
   kRangeOrder,  // Cascade: begin 5 > end 1
   kBlindRound,  // LDPC: blind round 0 (rounds are 1-based)
+  kBlindFrame,  // LDPC: blind request for frame `frames`, past the block
+  kDoneCount,   // LDPC: ReconcileDone with one outcome too many
 };
 
-// A scripted Bob: honest through sifting and estimation, then sends one
-// hostile request. Alice must end the session with a typed protocol fault
-// instead of letting a precondition of the parity responder or the frame
-// sender escape untyped.
+// A scripted Bob: honest through sifting and estimation and through the
+// block's ReconcileStarts, then sends one hostile request. Alice must end
+// the session with a typed protocol fault instead of letting a
+// precondition of the parity responder or the frame senders escape
+// untyped.
 class HostileBob : public ::testing::TestWithParam<HostileRequest> {};
 
 TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
   const HostileRequest field = GetParam();
   const auto data = simulate_link(25.0, 110, 1 << 19);
   SessionConfig config = metro_session_config();
-  if (field != HostileRequest::kBlindRound) {
-    config.method = protocol::ReconcileMethod::kCascade;
-  }
+  const bool ldpc = field == HostileRequest::kBlindRound ||
+                    field == HostileRequest::kBlindFrame ||
+                    field == HostileRequest::kDoneCount;
+  if (!ldpc) config.method = protocol::ReconcileMethod::kCascade;
   auto [alice_channel, bob_channel] = protocol::make_channel_pair();
 
   protocol::ClassicalChannel& ch = *bob_channel;
@@ -377,9 +507,27 @@ TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
     if (!std::get<protocol::PeVerdict>(receive()).proceed) {
       throw std::runtime_error("honest estimation must proceed");
     }
-    (void)std::get<protocol::ReconcileStart>(receive());
-    if (field == HostileRequest::kBlindRound) {
-      send(protocol::BlindRequest{1, 0});
+    const auto start = std::get<protocol::ReconcileStart>(receive());
+    if (ldpc) {
+      // Take the block's whole stream of starts, as an honest Bob does.
+      const std::size_t key_bits =
+          engine::remaining_key(sifted, sift.signal_mask, reveal.positions)
+              .size();
+      const std::size_t payload_bits =
+          reconcile::code_by_id(start.code_id).n() - start.n_punctured -
+          start.n_shortened;
+      const std::size_t frames = key_bits / payload_bits;
+      for (std::size_t f = 1; f < frames; ++f) {
+        (void)std::get<protocol::ReconcileStart>(receive());
+      }
+      const auto last_frame = static_cast<std::uint32_t>(frames);
+      if (field == HostileRequest::kBlindRound) {
+        send(protocol::BlindRequest{1, 0, 0});
+      } else if (field == HostileRequest::kBlindFrame) {
+        send(protocol::BlindRequest{1, last_frame, 1});
+      } else {
+        send(protocol::ReconcileDone{1, BitVec(frames + 1, true)});
+      }
       return;
     }
 
@@ -398,7 +546,7 @@ TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
         request.range_begins = {5};
         request.range_ends = {1};
         break;
-      case HostileRequest::kBlindRound:
+      default:
         break;
     }
     send(request);
@@ -429,7 +577,9 @@ INSTANTIATE_TEST_SUITE_P(ReconcileRequests, HostileBob,
                          ::testing::Values(HostileRequest::kPass,
                                            HostileRequest::kRangeEnd,
                                            HostileRequest::kRangeOrder,
-                                           HostileRequest::kBlindRound));
+                                           HostileRequest::kBlindRound,
+                                           HostileRequest::kBlindFrame,
+                                           HostileRequest::kDoneCount));
 
 }  // namespace
 }  // namespace qkdpp::pipeline

@@ -102,9 +102,16 @@ TEST(FaultyChannel, OutageWindowDropsExactlyItsFrames) {
 }
 
 TEST(ReliableChannel, CleanPingPongInOrder) {
+  // Zero retransmits on a fault-free channel holds only if no receive wait
+  // times out: put the retransmit timer far above scheduler noise, so an
+  // echo thread descheduled for a few ms on a loaded host is not taken
+  // for a lost frame.
+  RetryPolicy patient;
+  patient.base_timeout = std::chrono::seconds(1);
+  patient.max_timeout = std::chrono::seconds(1);
   auto [a, b] = make_channel_pair();
-  ReliableChannel alice(std::move(a), {}, 7);
-  ReliableChannel bob(std::move(b), {}, 8);
+  ReliableChannel alice(std::move(a), patient, 7);
+  ReliableChannel bob(std::move(b), patient, 8);
   auto bob_side = std::async(std::launch::async, [&bob] {
     for (int i = 0; i < 50; ++i) {
       auto f = bob.receive();

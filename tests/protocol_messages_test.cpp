@@ -109,15 +109,23 @@ TEST(Messages, BlindMessagesRoundTrip) {
   Xoshiro256 rng(6);
   BlindRequest req;
   req.block_id = 10;
+  req.frame = 7;
   req.round = 1;
-  EXPECT_EQ(round_trip(req).round, 1u);
+  const auto q = round_trip(req);
+  EXPECT_EQ(q.block_id, 10u);
+  EXPECT_EQ(q.frame, 7u);
+  EXPECT_EQ(q.round, 1u);
 
   BlindResponse resp;
   resp.block_id = 10;
-  resp.round = 1;
+  resp.frame = 0xfffffffeu;
+  resp.round = 3;
   resp.positions = {3, 77};
   resp.values = rng.random_bits(2);
   const auto r = round_trip(resp);
+  EXPECT_EQ(r.block_id, 10u);
+  EXPECT_EQ(r.frame, 0xfffffffeu);
+  EXPECT_EQ(r.round, 3u);
   EXPECT_EQ(r.positions, resp.positions);
   EXPECT_EQ(r.values, resp.values);
 }
@@ -142,7 +150,13 @@ TEST(Messages, RemainingTypesRoundTrip) {
   EXPECT_EQ(a.reason, 3);
   EXPECT_EQ(a.detail, "qber too high");
 
-  EXPECT_TRUE(round_trip(ReconcileDone{12, true}).success);
+  Xoshiro256 rng(8);
+  ReconcileDone done{12, rng.random_bits(70)};  // one bit per frame
+  const auto d = round_trip(done);
+  EXPECT_EQ(d.block_id, 12u);
+  EXPECT_EQ(d.converged, done.converged);
+  EXPECT_TRUE(round_trip(ReconcileDone{12, BitVec(1, true)}).converged.get(0));
+  EXPECT_TRUE(round_trip(ReconcileDone{12, BitVec()}).converged.empty());
 }
 
 TEST(Messages, TypeTagsAreDistinct) {

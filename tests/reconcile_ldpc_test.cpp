@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/entropy.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,6 +20,23 @@ BitVec corrupt(const BitVec& key, double q, Xoshiro256& rng) {
     if (rng.bernoulli(q)) noisy.flip(i);
   }
   return noisy;
+}
+
+// One frame through the production exchange: alice/bob hold exactly one
+// payload, reconciled by ldpc_reconcile_key_batch with a single frame seed.
+ReconcileOutcome reconcile_one_frame(const BitVec& alice, const BitVec& bob,
+                                     double qber, const FramePlan& plan,
+                                     std::uint64_t frame_seed,
+                                     const LdpcReconcilerConfig& config,
+                                     Xoshiro256& alice_private) {
+  const std::uint64_t seeds[] = {frame_seed};
+  BitVec alice_out;
+  BitVec bob_out;
+  std::vector<ReconcileOutcome> per_frame;
+  ldpc_reconcile_key_batch(alice, bob, qber, plan, seeds, config,
+                           alice_private, /*arena=*/nullptr, alice_out,
+                           bob_out, &per_frame);
+  return per_frame.at(0);
 }
 
 TEST(LdpcCode, PegStructureIsValid) {
@@ -85,20 +104,6 @@ TEST(LdpcCode, TableLookupsWork) {
   EXPECT_EQ(code.n(), 1024u);
   EXPECT_EQ(&code, &code_by_id(0));  // memoized
   EXPECT_THROW(code_by_id(9999), Error);
-}
-
-TEST(LdpcCode, PickCodeRespectsEfficiencyTarget) {
-  // q = 2%: h2 = 0.1414; f 1.25 -> max rate 0.823 -> expect the 0.8 code.
-  const auto id = pick_code(4096, 0.02, 1.25);
-  const LdpcCode& code = code_by_id(id);
-  // m = 3n/dc rounds down, so the realized rate is within 1e-3 of nominal.
-  EXPECT_NEAR(code.rate(), 0.8, 1e-3);
-  EXPECT_GE(code.n(), 4096u);
-
-  // q = 9%: h2 = 0.4365; f 1.25 -> max rate 0.454 -> falls back to 0.5
-  // (lowest available), the fallback path.
-  const auto low = pick_code(4096, 0.09, 1.25);
-  EXPECT_NEAR(code_by_id(low).rate(), 0.5, 1e-3);
 }
 
 TEST(Decoder, BscLlrValues) {
@@ -193,17 +198,41 @@ TEST(RateAdapt, OverBudgetThrows) {
 }
 
 TEST(RateAdapt, PlanHitsEfficiencyTarget) {
-  const FramePlan plan = plan_frame(4096, 0.03, 1.25);
-  EXPECT_GT(plan.payload_bits, 0u);
-  EXPECT_NEAR(plan.predicted_efficiency, 1.25, 0.3);
-  const LdpcCode& code = code_by_id(plan.code_id);
-  EXPECT_EQ(plan.payload_bits,
-            code.n() - plan.n_punctured - plan.n_shortened);
+  // The batched planner discloses at the penalty-adjusted target: the
+  // syndrome minus the punctured bits is f_target * penalty(n) * h2(q) per
+  // payload bit, to within one bit of rounding, wherever the puncture
+  // budget reaches it (higher QBER clamps d and over-discloses).
+  for (const double q : {0.01, 0.02, 0.03}) {
+    const FramePlan plan = plan_frame_batched(16 * 4096, q, 1.25);
+    const LdpcCode& code = code_by_id(plan.code_id);
+    EXPECT_GE(code.n(), 4096u) << "q=" << q;
+    EXPECT_EQ(plan.payload_bits,
+              code.n() - plan.n_punctured - plan.n_shortened);
+    const double target = 1.25 * finite_length_penalty(code.n());
+    EXPECT_GE(plan.predicted_efficiency, target) << "q=" << q;
+    EXPECT_NEAR(plan.predicted_efficiency, target,
+                1.0 / (static_cast<double>(plan.payload_bits) *
+                       binary_entropy(q)))
+        << "q=" << q;
+  }
+}
+
+TEST(RateAdapt, PlanFallsBackToLowestRatePastEveryTarget) {
+  // q = 9%: h2 = 0.4365, so f 1.25 with the finite-length penalty asks for
+  // more disclosure than any mother code's syndrome: the plan falls back
+  // to the lowest rate (0.5).
+  const FramePlan plan = plan_frame_batched(16 * 4096, 0.09, 1.25);
+  EXPECT_NEAR(code_by_id(plan.code_id).rate(), 0.5, 1e-3);
 }
 
 TEST(RateAdapt, PlanValidatesInput) {
-  EXPECT_THROW(plan_frame(1024, 0.0, 1.2), std::invalid_argument);
-  EXPECT_THROW(plan_frame(1024, 0.02, 0.9), std::invalid_argument);
+  EXPECT_THROW(plan_frame_batched(4096, 0.0, 1.2), std::invalid_argument);
+  EXPECT_THROW(plan_frame_batched(4096, 0.5, 1.2), std::invalid_argument);
+  EXPECT_THROW(plan_frame_batched(4096, 0.02, 0.9), std::invalid_argument);
+  EXPECT_THROW(plan_frame_batched(4096, 0.02, 1.2, 0.5),
+               std::invalid_argument);
+  EXPECT_THROW(plan_frame_batched(4096, 0.02, 1.2, 0.1, 0),
+               std::invalid_argument);
 }
 
 class LdpcLocalSweep : public ::testing::TestWithParam<double> {};
@@ -215,12 +244,12 @@ TEST_P(LdpcLocalSweep, ReconcilesFrameEndToEnd) {
 
   LdpcReconcilerConfig config;
   config.f_target = 1.3;
-  const FramePlan plan = plan_frame(4096, q, config.f_target);
+  const FramePlan plan = plan_frame_batched(4096, q, config.f_target);
   const BitVec alice = rng.random_bits(plan.payload_bits);
   const BitVec bob = corrupt(alice, q, rng);
 
-  const auto outcome = ldpc_reconcile_local(alice, bob, q, plan, 0xf00d,
-                                            config, alice_private);
+  const auto outcome = reconcile_one_frame(alice, bob, q, plan, 0xf00d,
+                                           config, alice_private);
   ASSERT_TRUE(outcome.success) << "q=" << q;
   EXPECT_EQ(outcome.corrected, alice) << "q=" << q;
   EXPECT_GT(outcome.efficiency, 1.0);
@@ -237,13 +266,13 @@ TEST(LdpcLocal, BlindRevealRescuesUnderestimatedQber) {
   Xoshiro256 alice_private(405);
   LdpcReconcilerConfig config;
   config.f_target = 1.15;  // deliberately tight
-  const FramePlan plan = plan_frame(4096, 0.02, config.f_target);
+  const FramePlan plan = plan_frame_batched(4096, 0.02, config.f_target);
   ASSERT_GT(plan.n_punctured, 0u);
   const BitVec alice = rng.random_bits(plan.payload_bits);
   const BitVec bob = corrupt(alice, 0.035, rng);
 
-  const auto outcome = ldpc_reconcile_local(alice, bob, 0.035, plan, 0xbeef,
-                                            config, alice_private);
+  const auto outcome = reconcile_one_frame(alice, bob, 0.035, plan, 0xbeef,
+                                           config, alice_private);
   if (outcome.success) {
     EXPECT_EQ(outcome.corrected, alice);
     // Leak grows beyond the syndrome when blind rounds fire.
@@ -260,11 +289,11 @@ TEST(LdpcLocal, LeakAccountingMatchesPlan) {
   Xoshiro256 rng(505);
   Xoshiro256 alice_private(506);
   LdpcReconcilerConfig config;
-  const FramePlan plan = plan_frame(4096, 0.03, 1.3);
+  const FramePlan plan = plan_frame_batched(4096, 0.03, 1.3);
   const BitVec alice = rng.random_bits(plan.payload_bits);
   const BitVec bob = corrupt(alice, 0.03, rng);
-  const auto outcome = ldpc_reconcile_local(alice, bob, 0.03, plan, 0xcafe,
-                                            config, alice_private);
+  const auto outcome = reconcile_one_frame(alice, bob, 0.03, plan, 0xcafe,
+                                           config, alice_private);
   ASSERT_TRUE(outcome.success);
   if (outcome.blind_rounds == 0) {
     const LdpcCode& code = code_by_id(plan.code_id);
@@ -275,7 +304,7 @@ TEST(LdpcLocal, LeakAccountingMatchesPlan) {
 
 TEST(LdpcLocal, PayloadSizeMismatchThrows) {
   Xoshiro256 alice_private(507);
-  const FramePlan plan = plan_frame(4096, 0.03, 1.3);
+  const FramePlan plan = plan_frame_batched(4096, 0.03, 1.3);
   const BitVec wrong(plan.payload_bits + 1);
   EXPECT_THROW(
       LdpcFrameSender(plan, wrong, 1, alice_private),
@@ -286,14 +315,16 @@ TEST(CascadeVsLdpc, CascadeLeaksLessButTalksMore) {
   // The headline trade-off behind experiment F4.
   Xoshiro256 rng(606);
   const double q = 0.03;
-  const FramePlan plan = plan_frame(16384, q, 1.3);
+  // One 16k frame: a single-lane target lets the largest code win.
+  const FramePlan plan = plan_frame_batched(16384, q, 1.3, 0.10,
+                                            /*target_frames=*/1);
   const BitVec alice = rng.random_bits(plan.payload_bits);
   const BitVec bob = corrupt(alice, q, rng);
 
   Xoshiro256 alice_private(607);
   LdpcReconcilerConfig ldpc_config;
-  const auto ldpc = ldpc_reconcile_local(alice, bob, q, plan, 1, ldpc_config,
-                                         alice_private);
+  const auto ldpc = reconcile_one_frame(alice, bob, q, plan, 1, ldpc_config,
+                                        alice_private);
   CascadeConfig cascade_config;
   cascade_config.qber_hint = q;
   cascade_config.passes = 6;

@@ -37,9 +37,11 @@ protocol::RetryPolicy fast_retry() {
 }
 
 /// Breaker arithmetic needs every clean block to succeed, so these links
-/// reconcile with Cascade: interactive parity converges deterministically,
-/// where LDPC at this block size sporadically sheds a clean block when the
-/// PE estimate low-balls the frame's true error rate.
+/// reconcile with Cascade, whose interactive parity converges on every
+/// clean block at this size: the expected counts then follow from the
+/// injected outages alone. (Session LDPC runs the engine's framing and
+/// blind loop, so it distills exactly the blocks the engine does - see
+/// SessionMatchesEngine in pipeline_session_test.)
 LinkSpec session_link(std::string name, std::uint64_t blocks,
                       std::uint64_t seed) {
   LinkSpec spec;
