@@ -535,6 +535,13 @@ SessionResult run_bob_session(ClassicalChannel& channel,
 
     // --- privacy amplification --------------------------------------------------
     const auto pa = expect_msg<PaParams>(channel);
+    // Hashing cannot add entropy: a longer output than input (or an empty
+    // one) is a hostile peer, not a key.
+    if (pa.out_len == 0 || pa.out_len > reconciled.size()) {
+      throw_error(ErrorCode::kProtocol,
+                  "privacy amplification length " + std::to_string(pa.out_len) +
+                      " outside 1.." + std::to_string(reconciled.size()));
+    }
     result.final_key = engine::apply_toeplitz(
         pa.seed, reconciled, static_cast<std::size_t>(pa.out_len));
 

@@ -1,9 +1,9 @@
 #include "reconcile/ldpc_code.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 
@@ -12,21 +12,6 @@
 #include "common/rng.hpp"
 
 namespace qkdpp::reconcile {
-
-namespace {
-
-/// Scratch buffers for the PEG breadth-first searches, epoch-stamped so a
-/// fresh search costs O(visited) instead of O(graph).
-struct PegScratch {
-  std::vector<std::uint32_t> check_epoch;
-  std::vector<std::uint32_t> var_epoch;
-  std::vector<std::uint32_t> check_depth;
-  std::vector<std::uint32_t> frontier_vars;
-  std::vector<std::uint32_t> next_vars;
-  std::uint32_t epoch = 0;
-};
-
-}  // namespace
 
 LdpcCode LdpcCode::peg(std::size_t n, std::size_t m,
                        const DegreeProfile& profile, std::uint64_t seed) {
@@ -57,23 +42,42 @@ LdpcCode LdpcCode::peg(std::size_t n, std::size_t m,
   }
 
   Xoshiro256 rng(seed);
-  std::vector<std::vector<std::uint32_t>> check_adj(m);   // check -> vars
-  std::vector<std::vector<std::uint32_t>> var_adj(n);     // var -> checks
+  std::vector<std::vector<std::uint32_t>> check_adj(m);  // check -> vars
   std::vector<std::uint32_t> check_degree(m, 0);
 
-  PegScratch scratch;
-  scratch.check_epoch.assign(m, 0);
-  scratch.var_epoch.assign(n, 0);
-  scratch.check_depth.assign(m, 0);
+  // The searches walk the check graph, where two checks are adjacent when
+  // they share a variable. Row c is the m-bit set of c's neighbours, grown
+  // as edges are added, so a BFS level is a word-parallel union of rows.
+  // Its levels are exactly those of a BFS over the variable/check graph.
+  const std::size_t words = (m + 63) / 64;
+  std::vector<std::uint64_t> rows(m * words, 0);
+  const auto row = [&](std::uint32_t c) { return rows.data() + c * words; };
+  const auto bit = [](std::uint32_t c) { return std::uint64_t{1} << (c % 64); };
+  // Calls f(c) for each check c in an m-bit set, in ascending order.
+  const auto for_each_check = [words](const std::vector<std::uint64_t>& set,
+                                      auto&& f) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = set[w]; bits != 0; bits &= bits - 1) {
+        f(static_cast<std::uint32_t>(64 * w + std::countr_zero(bits)));
+      }
+    }
+  };
+  std::vector<std::uint64_t> all(words, ~std::uint64_t{0});
+  if (m % 64 != 0) all.back() = bit(static_cast<std::uint32_t>(m)) - 1;
+  std::vector<std::uint64_t> unreached(words);
+  std::vector<std::uint64_t> layer(words);
+  std::vector<std::uint64_t> next(words);
+  std::vector<std::uint32_t> v_checks;  // the current variable's checks
 
-  // Candidate selection: among `eligible` checks (marked by predicate),
-  // lowest current degree wins, ties broken uniformly at random.
-  auto pick_min_degree = [&](auto&& eligible) -> std::uint32_t {
+  // Candidate selection: among the `eligible` checks, lowest current degree
+  // wins, ties broken uniformly at random. Ascending check order fixes
+  // which rng draw each tie consumes.
+  auto pick_min_degree =
+      [&](const std::vector<std::uint64_t>& eligible) -> std::uint32_t {
     std::uint32_t best_degree = ~0u;
     std::uint32_t reservoir = 0;
     std::uint32_t count = 0;
-    for (std::uint32_t c = 0; c < m; ++c) {
-      if (!eligible(c)) continue;
+    for_each_check(eligible, [&](std::uint32_t c) {
       if (check_degree[c] < best_degree) {
         best_degree = check_degree[c];
         reservoir = c;
@@ -82,68 +86,69 @@ LdpcCode LdpcCode::peg(std::size_t n, std::size_t m,
         ++count;
         if (rng.uniform(count) == 0) reservoir = c;
       }
-    }
+    });
     QKDPP_REQUIRE(count > 0, "PEG found no eligible check");
     return reservoir;
   };
 
   for (std::uint32_t v = 0; v < n; ++v) {
-    const unsigned dv = degree_of[v];
-    for (unsigned k = 0; k < dv; ++k) {
+    v_checks.clear();
+    for (unsigned k = 0; k < degree_of[v]; ++k) {
       std::uint32_t chosen;
       if (k == 0) {
-        chosen = pick_min_degree([](std::uint32_t) { return true; });
+        chosen = pick_min_degree(all);
       } else {
-        // BFS from v through the current graph; stop when the reached check
-        // set saturates or covers everything.
-        ++scratch.epoch;
-        const std::uint32_t epoch = scratch.epoch;
-        scratch.frontier_vars.clear();
-        scratch.frontier_vars.push_back(v);
-        scratch.var_epoch[v] = epoch;
-        std::size_t reached_checks = 0;
-        std::uint32_t depth = 0;
-        std::uint32_t max_depth_seen = 0;
-        for (;;) {
-          ++depth;
-          std::size_t new_checks = 0;
-          scratch.next_vars.clear();
-          for (const std::uint32_t fv : scratch.frontier_vars) {
-            for (const std::uint32_t c : var_adj[fv]) {
-              if (scratch.check_epoch[c] == epoch) continue;
-              scratch.check_epoch[c] = epoch;
-              scratch.check_depth[c] = depth;
-              max_depth_seen = depth;
-              ++new_checks;
-              for (const std::uint32_t nv : check_adj[c]) {
-                if (scratch.var_epoch[nv] == epoch) continue;
-                scratch.var_epoch[nv] = epoch;
-                scratch.next_vars.push_back(nv);
+        // BFS from v: level 1 is v's checks; stop when a level adds nothing
+        // or every check is reached.
+        std::fill(layer.begin(), layer.end(), 0);
+        for (const std::uint32_t c : v_checks) layer[c / 64] |= bit(c);
+        for (std::size_t i = 0; i < words; ++i) {
+          unreached[i] = all[i] & ~layer[i];
+        }
+        std::size_t layer_size = v_checks.size();
+        std::size_t reached = layer_size;
+        while (reached < m) {
+          std::fill(next.begin(), next.end(), 0);
+          if (layer_size <= m - reached) {
+            for_each_check(layer, [&](std::uint32_t c) {
+              const std::uint64_t* r = row(c);
+              for (std::size_t i = 0; i < words; ++i) next[i] |= r[i];
+            });
+            for (std::size_t i = 0; i < words; ++i) next[i] &= unreached[i];
+          } else {
+            // Fewer checks left than in the layer: test each unreached
+            // check's row against the layer instead.
+            for_each_check(unreached, [&](std::uint32_t c) {
+              const std::uint64_t* r = row(c);
+              for (std::size_t i = 0; i < words; ++i) {
+                if ((r[i] & layer[i]) != 0) {
+                  next[c / 64] |= bit(c);
+                  return;
+                }
               }
-            }
+            });
           }
-          reached_checks += new_checks;
-          if (new_checks == 0 || reached_checks == m ||
-              scratch.next_vars.empty()) {
-            break;
+          std::size_t added = 0;
+          for (std::size_t i = 0; i < words; ++i) {
+            added += static_cast<std::size_t>(std::popcount(next[i]));
+            unreached[i] &= ~next[i];
           }
-          scratch.frontier_vars.swap(scratch.next_vars);
+          if (added == 0) break;
+          reached += added;
+          layer.swap(next);
+          layer_size = added;
         }
-        if (reached_checks < m) {
-          // Connect outside the reachable set: maximizes the new edge's
-          // local girth (no cycle through it yet).
-          chosen = pick_min_degree([&](std::uint32_t c) {
-            return scratch.check_epoch[c] != epoch;
-          });
-        } else {
-          // Whole graph reachable: take the most distant layer.
-          chosen = pick_min_degree([&](std::uint32_t c) {
-            return scratch.check_depth[c] == max_depth_seen;
-          });
-        }
+        // Connect outside the reachable set while there is one: no cycle
+        // runs through the new edge yet, which maximizes its local girth.
+        // Once the whole graph is reachable, take the most distant level.
+        chosen = pick_min_degree(reached < m ? unreached : layer);
       }
+      for (const std::uint32_t c : v_checks) {
+        row(c)[chosen / 64] |= bit(chosen);
+        row(chosen)[c / 64] |= bit(c);
+      }
+      v_checks.push_back(chosen);
       check_adj[chosen].push_back(v);
-      var_adj[v].push_back(chosen);
       ++check_degree[chosen];
     }
   }
@@ -164,8 +169,7 @@ LdpcCode LdpcCode::peg(std::size_t n, std::size_t m,
   }
   code.var_offset_.resize(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    code.var_offset_[v + 1] =
-        code.var_offset_[v] + static_cast<std::uint32_t>(var_adj[v].size());
+    code.var_offset_[v + 1] = code.var_offset_[v] + degree_of[v];
   }
   code.var_check_.resize(code.edge_var_.size());
   code.var_edge_.resize(code.edge_var_.size());
@@ -325,21 +329,22 @@ void LdpcCode::validate() const {
   }
 }
 
-unsigned LdpcCode::girth_estimate(unsigned) const {
-  // Exact 4-cycle detection: two checks sharing two variables. PEG avoids
-  // these whenever degrees permit; anything >= 6 is reported as 6.
-  std::set<std::uint64_t> pairs;
+bool LdpcCode::has_four_cycle() const {
+  // A 4-cycle is two checks sharing two variables: some check pair occurs
+  // under two different variables.
+  std::vector<std::uint64_t> pairs;
   for (std::size_t v = 0; v < n_; ++v) {
     const auto checks = var_checks(v);
     for (std::size_t i = 0; i < checks.size(); ++i) {
       for (std::size_t j = i + 1; j < checks.size(); ++j) {
         const std::uint64_t a = std::min(checks[i], checks[j]);
         const std::uint64_t b = std::max(checks[i], checks[j]);
-        if (!pairs.insert((a << 32) | b).second) return 4;
+        pairs.push_back((a << 32) | b);
       }
     }
   }
-  return 6;
+  std::sort(pairs.begin(), pairs.end());
+  return std::adjacent_find(pairs.begin(), pairs.end()) != pairs.end();
 }
 
 namespace {
@@ -379,8 +384,8 @@ const LdpcCode& code_by_id(std::uint32_t id) {
   if (spec == nullptr) {
     throw_error(ErrorCode::kConfig, "unknown LDPC code id " + std::to_string(id));
   }
-  // Build outside the lock (PEG construction takes seconds at n = 8k);
-  // a racing duplicate build is wasted work but harmless. Large blocks use
+  // Build outside the lock (a PEG table code takes up to ~0.2 s in
+  // Release); a racing duplicate build is wasted work but harmless. Large blocks use
   // the O(edges) quasi-cyclic construction (n may differ from the nominal
   // spec by < dc bits to keep the lifting integral).
   std::unique_ptr<LdpcCode> code;

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
@@ -321,6 +322,64 @@ INSTANTIATE_TEST_SUITE_P(
         EngineMatchCase{"Cascade25kmMisaligned", 25.0, 0.045,
                         protocol::ReconcileMethod::kCascade, 40000.0}),
     [](const auto& info) { return std::string(info.param.name); });
+
+// Bob's end of a channel pair with Alice's PaParams rewritten in flight to
+// announce `out_len` output bits; every other frame passes untouched.
+class PaLengthRewriter final : public protocol::ClassicalChannel {
+ public:
+  PaLengthRewriter(protocol::ClassicalChannel& inner, std::uint64_t out_len)
+      : inner_(inner), out_len_(out_len) {}
+
+  void send(std::vector<std::uint8_t> frame) override {
+    inner_.send(std::move(frame));
+  }
+  std::vector<std::uint8_t> receive() override {
+    return rewrite(inner_.receive());
+  }
+  void close() override { inner_.close(); }
+  protocol::ChannelCounters counters() const override {
+    return inner_.counters();
+  }
+
+ private:
+  std::vector<std::uint8_t> rewrite(std::vector<std::uint8_t> frame) const {
+    protocol::Message message = protocol::decode_message(frame);
+    auto* pa = std::get_if<protocol::PaParams>(&message);
+    if (pa == nullptr) return frame;
+    pa->out_len = out_len_;
+    return protocol::encode_message(message);
+  }
+
+  protocol::ClassicalChannel& inner_;
+  std::uint64_t out_len_;
+};
+
+// Bob hashes to the length Alice announces, so he must check it: 0 would
+// reach the Toeplitz hash's untyped argument check, and a length past the
+// reconciled key the seed allocation inside a noexcept generator. Both are
+// typed protocol faults with no key.
+class HostilePaLength : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HostilePaLength, BobEndsWithTypedProtocolFault) {
+  const auto data = simulate_link(25.0, 100, 1 << 20);
+  auto [alice_channel, bob_channel] = protocol::make_channel_pair();
+  PaLengthRewriter bob_end(*bob_channel, GetParam());
+  const auto [alice, bob] =
+      run_session(data, metro_session_config(), *alice_channel, bob_end);
+  EXPECT_FALSE(alice.success);
+  EXPECT_FALSE(bob.success);
+  ASSERT_TRUE(bob.fault_code.has_value()) << bob.abort_reason;
+  EXPECT_EQ(*bob.fault_code, ErrorCode::kProtocol) << bob.abort_reason;
+  EXPECT_TRUE(bob.final_key.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(OutLen, HostilePaLength,
+                         ::testing::Values(std::uint64_t{0},
+                                           std::uint64_t{1} << 40),
+                         [](const auto& info) {
+                           return info.param == 0 ? std::string("Zero")
+                                                  : std::string("Huge");
+                         });
 
 // Reconcile-stage fields a hostile Alice can put on the wire.
 enum class HostileField {

@@ -1,9 +1,10 @@
 // PEG construction pins: every table PEG code and two test shapes hashed
 // down to their CSR and pinned to the digests of the epoch-stamped BFS
-// construction, plus a differential test of LdpcCode::peg against that
-// BFS (kept below as a labelled test oracle) over random shapes. Code ids
-// are wire values and Alice and Bob rebuild codes independently, so a
-// construction change that moves one edge breaks every key.
+// construction, every table code checked free of 4-cycles, and a
+// differential test of LdpcCode::peg against that BFS (kept below as a
+// labelled test oracle) over random shapes. Code ids are wire values and
+// Alice and Bob rebuild codes independently, so a construction change
+// that moves one edge breaks every key.
 #include "reconcile/ldpc_code.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,12 @@ TEST(PegDigest, TestShapesMatchParentDigests) {
       << std::hex << csr_digest(regular);
   EXPECT_EQ(csr_digest(irregular), 0x02639bcb6f144c43ULL)
       << std::hex << csr_digest(irregular);
+}
+
+TEST(PegDigest, TableCodesHaveNoFourCycles) {
+  for (const CodeSpec& spec : code_table()) {
+    EXPECT_FALSE(code_by_id(spec.id).has_four_cycle()) << "id " << spec.id;
+  }
 }
 
 // --- differential test against the BFS oracle -----------------------------
@@ -175,8 +183,9 @@ std::vector<std::vector<std::uint32_t>> reference_peg(
           chosen = pick_min_degree(
               [&](std::uint32_t c) { return check_epoch[c] != epoch; });
         } else {
-          chosen = pick_min_degree(
-              [&](std::uint32_t c) { return check_depth[c] == max_depth_seen; });
+          chosen = pick_min_degree([&](std::uint32_t c) {
+            return check_depth[c] == max_depth_seen;
+          });
         }
       }
       check_adj[chosen].push_back(v);
@@ -195,12 +204,13 @@ struct PegShape {
 };
 
 std::string describe(const PegShape& shape) {
-  std::string out = "n=" + std::to_string(shape.n) +
-                    " m=" + std::to_string(shape.m) + " degrees";
+  std::ostringstream out;
+  out << "n=" << shape.n << " m=" << shape.m << " degrees";
   for (const auto& e : shape.profile.entries) {
-    out += " " + std::to_string(e.degree) + ":" + std::to_string(e.fraction);
+    out << ' ' << e.degree << ':' << e.fraction;
   }
-  return out + " seed=" + std::to_string(shape.seed);
+  out << " seed=" << shape.seed;
+  return out.str();
 }
 
 // Random shapes: n log-uniform over [64, 2048] (most small, the first two
