@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\nCascade leaks less (lower f_EC -> higher SKR) but costs "
-              "hundreds of round-trips; LDPC is one-way. See "
-              "bench_pipeline_e2e for the full trade-off.\n");
+              "hundreds of round-trips; LDPC is one-way. The ladder's "
+              "metro-ldpc and noisy-cascade workloads (bench/ladder/) "
+              "measure the trade-off.\n");
   return 0;
 }

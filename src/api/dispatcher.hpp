@@ -36,7 +36,7 @@ class Dispatcher {
   Response dispatch(const Request& request);
 
   /// Fully serialized path: parse the request envelope from JSON text,
-  /// route it, serialize the response envelope. The bench drives this -
+  /// route it, serialize the response envelope. The live tests drive this -
   /// it is the complete serialize -> dispatch -> segment -> deliver path
   /// a transport would exercise.
   std::string dispatch(std::string_view request_json);

@@ -27,7 +27,7 @@ class Json {
  public:
   using Array = std::vector<Json>;
   // Sorted keys: dump() output is deterministic regardless of insertion
-  // order, which the round-trip tests and bench JSON tails rely on. The
+  // order, which the round-trip tests rely on. The
   // transparent comparator lets at()/find() look up by string_view
   // without materializing a key string per field access.
   using Object = std::map<std::string, Json, std::less<>>;

@@ -191,7 +191,7 @@ std::string KeyDeliveryService::mint_uuid_locked(PairState& pair) {
   // RFC 4122 shaped, but structurally unique instead of merely
   // probabilistically: the first half is the pair's seeded rng stream, the
   // second half encodes (pair index, per-pair counter), so two deliveries
-  // can never share an id - the bench's zero-duplicate gate is a property
+  // can never share an id - the tests' zero-duplicate gate is a property
   // of construction, not of 128-bit collision odds.
   std::array<std::uint8_t, 16> bytes{};
   const std::uint64_t random = pair.uuid_rng.next_u64();

@@ -23,7 +23,7 @@
 // join the next request, so no distilled bit is ever dropped by
 // segmentation: for every pair, bits drawn from the store ==
 // delivered_bits + buffered_bits (PairStats), the conservation law the
-// bench asserts.
+// live-delivery test asserts.
 //
 // Failures are values, not exceptions: every entry point returns
 // Result<T> carrying either the DTO or an ApiError with an HTTP-like

@@ -3,7 +3,7 @@
 // The binary-polynomial product is the workhorse behind word-parallel
 // Toeplitz hashing: a Toeplitz matrix-vector product over GF(2) is a slice
 // of the carry-less convolution of the input with the seed, so one
-// multi-word clmul replaces the per-bit NTT expansion entirely.
+// multi-word clmul computes the whole hash.
 //
 // Layout matches BitVec: bit i of the polynomial (coefficient of x^i) lives
 // in word i/64 at position i%64, unused high bits zero. Three layers:

@@ -1,61 +1,10 @@
-// Small statistics toolkit used by benches and the heterogeneous runtime's
-// telemetry: streaming moments (Welford), percentile sampling, and a
-// steady-clock stopwatch.
+// Steady-clock stopwatch for the wall-clock time the runtime measures:
+// CPU devices' charged time, block timings and link throughput.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
-#include <cstddef>
-#include <cstdint>
-#include <limits>
-#include <vector>
 
 namespace qkdpp {
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-class RunningStats {
- public:
-  void add(double x) noexcept {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return mean_; }
-  double variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Sample store with exact percentiles (fine for bench-scale sample counts).
-class PercentileSampler {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  std::size_t count() const noexcept { return samples_.size(); }
-  /// q in [0,1]; nearest-rank on the sorted samples.
-  double percentile(double q) const;
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-};
 
 /// Monotonic stopwatch; returns elapsed seconds.
 class Stopwatch {

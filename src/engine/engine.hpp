@@ -85,9 +85,10 @@ class PostprocessEngine {
   Placement replan();
 
   /// Deterministically retune the reconciler to a windowed QBER estimate.
-  /// Measured on this codebase (see bench_scenarios): the LDPC family is
-  /// the right choice on a quiet channel (one-way, accelerator-offloadable,
-  /// FER ~0 below ~3% QBER at f_target 1.45), but mid-band its fixed
+  /// Measured on this codebase (see ScenarioGate in service_dynamic_test):
+  /// the LDPC family is the right choice on a quiet channel (one-way,
+  /// accelerator-offloadable, FER ~0 below ~3% QBER at f_target 1.45), but
+  /// mid-band its fixed
   /// efficiency target wastes ~0.25 h2(q) of key per bit versus Cascade
   /// (~1.2), and above ~8% its rate adaptation saturates and frames start
   /// dying wholesale - while Cascade converges all the way to the abort

@@ -12,7 +12,7 @@
 //   3. runs the XOR relay; on kInsufficientKey (a concurrent pair drained
 //      the hop between routing and taking) it excludes the failed edge and
 //      re-routes, up to max_reroutes_per_draw times - this mid-stream
-//      failover is exactly what the outage bench exercises.
+//      failover is exactly what the live relay-outage test exercises.
 //
 // One KeyRelay is shared by every pair NetworkDelivery registers: hop taps
 // are per *edge*, so concurrent pairs crossing the same span draw from one

@@ -20,7 +20,7 @@
 // "relay@<link>". Block tails stay buffered (never discarded), and a
 // multi-hop relay that fails on hop i gives hops 0..i-1 their segments
 // back (front of the residual, preserving stream order). The invariant
-// the tests and the bench pin down, for every edge e:
+// the tests pin down, for every edge e:
 //
 //   store.consumed_by("relay@" + link_name(e))
 //       == consumed_bits(e) + buffered_bits(e)

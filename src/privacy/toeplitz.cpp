@@ -1,10 +1,7 @@
 #include "privacy/toeplitz.hpp"
 
-#include <vector>
-
 #include "common/clmul.hpp"
 #include "common/error.hpp"
-#include "common/ntt.hpp"
 #include "common/rng.hpp"
 
 namespace qkdpp::privacy {
@@ -72,26 +69,6 @@ BitVec toeplitz_hash_clmul(const BitVec& input, const BitVec& seed,
   // y = (x conv t)[n-1 .. n-1+r): one word-level carry-less multiply, then
   // a word-sliced window copy.
   return gf2_poly_mul(input, seed).subvec(input.size() - 1, out_len);
-}
-
-BitVec toeplitz_hash_ntt(const BitVec& input, const BitVec& seed,
-                         std::size_t out_len) {
-  check_shapes(input, seed, out_len);
-  const std::size_t n = input.size();
-  QKDPP_REQUIRE(n + seed.size() - 1 <= kNttMaxLength,
-                "Toeplitz block exceeds NTT transform limit");
-
-  std::vector<std::uint32_t> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = input.get(i);
-  std::vector<std::uint32_t> t(seed.size());
-  for (std::size_t i = 0; i < seed.size(); ++i) t[i] = seed.get(i);
-
-  const auto conv = ntt_convolve(x, t);
-  BitVec out(out_len);
-  for (std::size_t j = 0; j < out_len; ++j) {
-    if (conv[n - 1 + j] & 1u) out.set(j, true);
-  }
-  return out;
 }
 
 BitVec toeplitz_hash(const BitVec& input, const BitVec& seed,

@@ -5,7 +5,7 @@
 // timed outage windows during which every frame is lost. All randomness comes
 // from one Xoshiro256 stream keyed by the constructor seed, so a given
 // (seed, traffic) pair always injects the identical fault pattern — the
-// property the chaos bench's byte-identical same-seed gate rests on.
+// property the fleet-chaos test's byte-identical same-seed gate rests on.
 //
 // The injector sits *below* the ARQ layer (ReliableChannel) and below
 // authentication, mimicking a lossy network segment: retransmission heals

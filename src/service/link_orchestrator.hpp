@@ -86,7 +86,7 @@ struct CircuitBreakerPolicy {
 
   bool enabled() const noexcept { return open_after_aborts > 0; }
 
-  /// The posture the chaos bench and the examples run: open after 3
+  /// The posture the chaos tests and the examples run: open after 3
   /// consecutive aborts, 4-block cooldown doubling up to 32.
   static CircuitBreakerPolicy standard();
 };
@@ -134,8 +134,8 @@ struct ReplanPolicy {
     return period_blocks > 0 || qber_delta > 0 || throughput_drop > 0;
   }
 
-  /// The default adaptive posture the examples/benches run: periodic
-  /// refresh plus QBER and throughput triggers.
+  /// The default adaptive posture the examples and the scenario gate run:
+  /// periodic refresh plus QBER and throughput triggers.
   static ReplanPolicy adaptive();
   /// Construction-time placement only (the PR-1 behaviour).
   static ReplanPolicy static_placement() { return ReplanPolicy{}; }
@@ -186,7 +186,7 @@ struct LinkReport {
   // Reconciliation decode statistics, summed over every processed block
   // (engine-path links; session-transport links leave them zero). Exposes
   // the batch decoder's behaviour - iteration pressure, early-exit rate,
-  // disclosed bits - to reports and the bench JSON.
+  // disclosed bits - to reports.
   std::uint64_t reconcile_frames = 0;             ///< LDPC frames decoded
   std::uint64_t decoder_iterations = 0;           ///< BP iterations, summed
   std::uint64_t reconcile_early_exit_frames = 0;  ///< converged before the cap
@@ -234,7 +234,7 @@ struct OrchestratorReport {
   double secret_bits_per_s = 0.0;      ///< aggregate over fleet wall time
   double blocks_per_s = 0.0;
   /// Final snapshot of the link pool's counters (queue depth, steals,
-  /// busy workers) — the contention observability the scale bench reports.
+  /// busy workers): the pool's contention observability.
   ThreadPool::Stats pool;
 };
 

@@ -258,8 +258,8 @@ ScenarioConfig link_outage_scenario(std::uint64_t blocks) {
 ScenarioConfig loss_burst_scenario(std::uint64_t blocks) {
   // The classical service channel degrades for the middle third: 5% of
   // frames vanish and 1% take a bit flip. The ARQ layer heals all of it;
-  // the cost is retransmission latency, which the chaos bench gates at
-  // >= 0.7x clean goodput.
+  // the cost is retransmission latency, which the fleet-chaos test gates
+  // at >= 0.7x clean goodput.
   ScenarioConfig scenario;
   scenario.name = "loss-burst";
   scenario.blocks = blocks;

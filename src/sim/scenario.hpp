@@ -119,7 +119,7 @@ struct ScenarioConfig {
   void validate() const;
 };
 
-/// Shipped scenarios (the matrix dynamic_link/bench_scenarios iterate):
+/// Shipped scenarios (the matrix dynamic_link and the scenario gate iterate):
 /// a 24h-compressed diurnal attenuation + misalignment cycle,
 ScenarioConfig diurnal_scenario(std::uint64_t blocks = 24);
 /// a mid-run QBER burst riding a quiet channel,
@@ -134,12 +134,13 @@ ScenarioConfig device_hot_remove_scenario(std::uint64_t blocks = 18);
 /// Mid-run hard outage of the link over [~1/3, ~2/3) of the timeline: the
 /// route-perturbation scenario the network layer re-routes around. Not part
 /// of shipped_scenarios() - a dead link has no adaptive-vs-static story for
-/// bench_scenarios; it exists to take a topology *edge* down.
+/// the scenario gate; it exists to take a topology *edge* down.
 ScenarioConfig link_outage_scenario(std::uint64_t blocks = 18);
 
 /// Classical-channel loss burst over the middle third: 5% frame drop + 1%
 /// bit corruption, the ARQ layer's bread-and-butter degradation case (and
-/// the chaos bench's goodput-gated profile). Session-transport links only.
+/// the fleet-chaos test's goodput-gated profile). Session-transport links
+/// only.
 ScenarioConfig loss_burst_scenario(std::uint64_t blocks = 18);
 
 /// Classical-channel outage over the middle third: every service-channel

@@ -1,4 +1,4 @@
-// RunningStats / PercentileSampler / Stopwatch tests.
+// Stopwatch tests.
 #include "common/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -7,71 +7,6 @@
 
 namespace qkdpp {
 namespace {
-
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStats, KnownMoments) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats s;
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, NumericallyStableLargeOffset) {
-  RunningStats s;
-  const double offset = 1e9;
-  for (int i = 0; i < 1000; ++i) s.add(offset + (i % 2));
-  EXPECT_NEAR(s.mean(), offset + 0.5, 1e-3);
-  EXPECT_NEAR(s.variance(), 0.25, 1e-3);
-}
-
-TEST(Percentile, NearestRank) {
-  PercentileSampler p;
-  for (int i = 1; i <= 100; ++i) p.add(i);
-  EXPECT_DOUBLE_EQ(p.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(1.0), 100.0);
-  EXPECT_NEAR(p.percentile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(p.percentile(0.99), 99.0, 1.0);
-}
-
-TEST(Percentile, AddAfterQueryResorts) {
-  PercentileSampler p;
-  p.add(10.0);
-  p.add(20.0);
-  EXPECT_DOUBLE_EQ(p.percentile(1.0), 20.0);
-  p.add(5.0);
-  EXPECT_DOUBLE_EQ(p.percentile(0.0), 5.0);
-}
-
-TEST(Percentile, EmptyThrows) {
-  PercentileSampler p;
-  EXPECT_THROW(p.percentile(0.5), std::invalid_argument);
-}
-
-TEST(Percentile, OutOfRangeRankThrows) {
-  PercentileSampler p;
-  p.add(1.0);
-  EXPECT_THROW(p.percentile(1.5), std::invalid_argument);
-  EXPECT_THROW(p.percentile(-0.1), std::invalid_argument);
-}
 
 TEST(Stopwatch, MeasuresForwardTime) {
   Stopwatch sw;

@@ -1,13 +1,11 @@
 // Cross-module integration and boundary tests that do not belong to any
 // single module's suite: QC codes driven through the lockstep decoder,
-// transform-limit boundaries, planner edge cases, and failure injection
-// across module seams.
+// planner edge cases, and failure injection across module seams.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/ntt.hpp"
 #include "common/rng.hpp"
 #include "reconcile/batch_decoder.hpp"
 #include "reconcile/rate_adapt.hpp"
@@ -73,14 +71,6 @@ TEST(QuasiCyclic, DecodesThroughLockstepBatch) {
     ASSERT_TRUE(result.converged);
     EXPECT_EQ(result.word, alice);
   }
-}
-
-TEST(NttBoundary, TransformLimitEnforcedExactly) {
-  // A convolution landing exactly on the limit passes; one beyond throws.
-  std::vector<std::uint32_t> a(kNttMaxLength / 2, 1);
-  std::vector<std::uint32_t> b(kNttMaxLength / 2 + 1, 1);
-  EXPECT_NO_THROW(ntt_convolve(a, a));  // length 2^23 - 1 < limit
-  EXPECT_THROW(ntt_convolve(b, b), std::invalid_argument);
 }
 
 TEST(PlanFitting, SelectsLargestFittingFrame) {

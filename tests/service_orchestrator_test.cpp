@@ -1,17 +1,21 @@
 // LinkOrchestrator + shared-device arbitration tests: many links over one
-// device set deposit into bounded stores without deadlock; the mapper's
-// base_load path steers placements away from loaded devices; engine
-// construction over a shared set commits its load to the ledger.
+// device set deposit into bounded stores without deadlock; an 8-link fleet
+// on the worker pool conserves every bit and reruns byte-identically; the
+// mapper's base_load path steers placements away from loaded devices;
+// engine construction over a shared set commits its load to the ledger.
 #include "service/link_orchestrator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "hetero/mapper.hpp"
+#include "sim/link_config.hpp"
 
 namespace qkdpp::service {
 namespace {
@@ -19,7 +23,7 @@ namespace {
 OrchestratorConfig small_fleet(std::uint64_t blocks = 2) {
   OrchestratorConfig config;
   // Distinct distances, all short enough that a 2^19-pulse block clears
-  // one LDPC frame (longer spans are the examples'/bench's business).
+  // one LDPC frame (longer spans are the examples' business).
   const double distances[] = {5.0, 10.0, 15.0, 25.0};
   std::uint64_t seed = 1;
   for (const double km : distances) {
@@ -144,6 +148,68 @@ TEST(LinkOrchestrator, SharedDevicesAccountWorkFromAllLinks) {
   // 4 links x 1 block x 5 stages (aborted blocks may run fewer stages).
   EXPECT_GE(launches, 4u * 3u);
   EXPECT_LE(launches, 4u * 5u);
+}
+
+/// Eight metro links with small blocks (~12k sifted bits), staggered over
+/// 5-19 km: per-block work is tiny, so the worker pool's handoffs and the
+/// sharded stores carry the load.
+OrchestratorConfig eight_small_links() {
+  OrchestratorConfig config;
+  config.store.capacity_bits = std::uint64_t{1} << 22;  // roomy: no rejects
+  for (std::size_t i = 0; i < 8; ++i) {
+    LinkSpec spec;
+    spec.name = "link-" + std::to_string(i);
+    spec.link.channel.length_km = 5.0 + static_cast<double>(i) * 2.0;
+    spec.pulses_per_block = sim::pulses_for_sifted_target(
+        spec.link, 12000.0, std::size_t{1} << 16, std::size_t{1} << 22);
+    spec.blocks = 2;
+    spec.rng_seed = 1000 + i;
+    config.links.push_back(std::move(spec));
+  }
+  return config;
+}
+
+/// Run the fleet, drain every store, and check exact conservation per
+/// link: drained == deposited == consumed == the report's secret bits,
+/// unique key ids, nothing rejected, nothing left. Returns the drained key
+/// bytes per link.
+std::vector<std::vector<std::uint8_t>> run_and_drain(
+    std::uint64_t* secret_bits) {
+  LinkOrchestrator orchestrator(eight_small_links());
+  const auto report = orchestrator.run();
+  *secret_bits = report.secret_bits;
+  std::vector<std::vector<std::uint8_t>> drained(orchestrator.link_count());
+  for (std::size_t i = 0; i < orchestrator.link_count(); ++i) {
+    auto& store = orchestrator.key_store(i);
+    std::uint64_t drained_bits = 0;
+    std::set<std::uint64_t> ids;
+    while (auto key = store.get_key("conservation-drain")) {
+      drained_bits += key->bits.size();
+      EXPECT_TRUE(ids.insert(key->key_id).second) << "link " << i;
+      const auto bytes = key->bits.to_bytes();
+      drained[i].insert(drained[i].end(), bytes.begin(), bytes.end());
+    }
+    EXPECT_EQ(drained_bits, store.total_deposited_bits()) << "link " << i;
+    EXPECT_EQ(drained_bits, store.total_consumed_bits()) << "link " << i;
+    EXPECT_EQ(drained_bits, report.links[i].secret_bits) << "link " << i;
+    EXPECT_EQ(store.rejected_keys(), 0u) << "link " << i;
+    EXPECT_EQ(store.bits_available(), 0u) << "link " << i;
+    EXPECT_EQ(store.keys_available(), 0u) << "link " << i;
+  }
+  return drained;
+}
+
+TEST(LinkOrchestrator, EightLinkFleetConservesBitsAndRerunsIdentically) {
+  std::uint64_t bits_first = 0;
+  std::uint64_t bits_second = 0;
+  const auto first = run_and_drain(&bits_first);
+  const auto second = run_and_drain(&bits_second);
+  EXPECT_GT(bits_first, 0u);
+  EXPECT_EQ(bits_first, bits_second);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_TRUE(first[i] == second[i]) << "link " << i << " diverged";
+  }
 }
 
 // --- mapper arbitration unit tests -----------------------------------------
