@@ -1,7 +1,7 @@
 // Heterogeneous offload walkthrough on the PostprocessEngine API: inspect
 // the stage x device cost matrix the engine priced at construction, compare
-// the optimizer's placement against naive baselines, then push a batch of
-// blocks through submit_block() futures and read the per-device ledger.
+// the optimizer's placement against naive baselines, then run a batch of
+// blocks through process_block() and read the per-device ledger.
 //
 //   $ ./examples/hetero_offload
 //
@@ -11,7 +11,6 @@
 // stages charge measured wall-clock while gpu-sim/fpga-sim charge modeled
 // time - the key bits are identical on every placement.
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -74,7 +73,7 @@ int main() {
   std::printf("  %-22s %10.1f\n", "optimizer",
               placement.predicted_items_per_s);
 
-  // --- batch submission through the futures entry point --------------------
+  // --- a batch of blocks, one process_block() call each ---------------------
   // Simulate the raw material first so the stopwatch times only the
   // engine's post-processing, not the quantum-layer simulation.
   constexpr int kBlocks = 8;
@@ -83,16 +82,12 @@ int main() {
   for (int b = 0; b < kBlocks; ++b) {
     inputs.push_back(simulate_block(b, 90 + b));
   }
-  std::vector<std::future<engine::BlockOutcome>> futures;
-  futures.reserve(kBlocks);
-  Stopwatch stopwatch;
-  for (int b = 0; b < kBlocks; ++b) {
-    futures.push_back(qkd.submit_block(std::move(inputs[b]), b, 700 + b));
-  }
   std::size_t secret_bits = 0;
   int succeeded = 0;
-  for (auto& future : futures) {
-    const auto outcome = future.get();
+  Stopwatch stopwatch;
+  for (int b = 0; b < kBlocks; ++b) {
+    Xoshiro256 rng(700 + b);
+    const auto outcome = qkd.process_block(inputs[b], b, rng);
     if (outcome.success) {
       ++succeeded;
       secret_bits += outcome.final_key_bits;

@@ -220,8 +220,8 @@ class KeyDeliveryService {
     std::shared_ptr<KeySource> source;
     std::size_t index = 0;  ///< registration order, mixed into UUIDs
     // Ranked above the tap and store locks: get_key deliberately holds the
-    // pair mutex across source->draw(), which reaches relay taps and store
-    // shards (the per-pair serialization the ETSI semantics need).
+    // pair mutex across source->draw(), which reaches relay taps and the
+    // store (the per-pair serialization the ETSI semantics need).
     mutable Mutex mutex{LockRank::kPair, "api.pair"};
     /// Tail of the last drawn block, < key_size bits.
     BitVec residual QKD_GUARDED_BY(mutex);

@@ -16,9 +16,9 @@ struct HeldLock {
 };
 
 // Per-thread stack of held locks. A fixed, trivially destructible array:
-// it has no thread_local destructor, so it stays valid for the static
-// destructors that still lock at exit (global_pool()'s runs after the
-// main thread's thread_locals are gone). Each acquire must rank strictly
+// it has no thread_local destructor, so it stays valid for any static
+// destructor that locks at exit (those run after the main thread's
+// thread_locals are gone). Each acquire must rank strictly
 // below every held lock, so a thread holds at most one lock per rank and
 // kMaxHeld (more than there are ranks) is never reached.
 constexpr std::size_t kMaxHeld = 32;

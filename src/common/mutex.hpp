@@ -38,15 +38,12 @@ enum class LockRank : int {
   kCodeCache = 10,    // LDPC code cache (leaf; PEG runs outside the lock)
   kAuthPool = 12,     // auth key pool (leaf)
   kChannel = 15,      // in-process classical channel endpoints (leaf)
-  kPoolIdle = 20,     // thread-pool idle cv, under a queue lock's scope
-  kPoolQueue = 25,    // thread-pool per-worker deques (never two at once)
+  kPool = 20,         // thread-pool task queue (leaf)
   kDevice = 30,       // device accounting (taken after the kernel body)
   kTrace = 35,        // stage cost model (leaf)
   kDeviceSet = 40,    // committed-load ledger, under the engine plan lock
   kEnginePlan = 45,   // engine placement/plan state
-  kStoreLedger = 50,  // KeyStore drawn-key ledger
-  kStoreSpace = 55,   // KeyStore capacity waiters
-  kStoreShard = 60,   // KeyStore shards (never two shards at once)
+  kStore = 60,        // KeyStore keys, aggregates and ledger (leaf)
   kTap = 65,          // relay per-edge taps, held across store.get_key
   kSourceStats = 70,  // relay-source stats, under the pair lock's scope
   kPair = 75,         // delivery pair state, held across source->draw

@@ -1,25 +1,13 @@
-// Work-stealing thread pool with a blocking parallel_for, used by the
-// CpuParallel backend and the link orchestrator. Task-based (CP.4): callers
-// submit work items, never manage threads. Destruction joins all workers
-// after draining.
-//
-// Internally each worker owns a cache-line-padded deque: external submits
-// round-robin across the deques, a worker pops its own queue from the
-// front and steals from the back of its neighbours' when empty, so N
-// submitters never serialize on one global lock. Idle workers park on a
-// shared condition variable guarded by a seq_cst pending-task counter
-// (submit publishes the task before reading the idle count; a parking
-// worker publishes its idle count before re-checking pending — at least
-// one side always observes the other, so no wakeup is lost).
+// Fixed-size thread pool, used by the link orchestrator (one task per link
+// per run) and held by the device set. Task-based (CP.4): callers submit
+// work items, never manage threads. One mutex guards one FIFO queue;
+// destruction joins all workers after draining it.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -29,17 +17,6 @@ namespace qkdpp {
 
 class ThreadPool {
  public:
-  /// Counter snapshot for observability; totals are monotonic over the
-  /// pool's lifetime, gauges (queue_depth, busy_workers) are instantaneous.
-  struct Stats {
-    std::size_t threads = 0;       ///< worker thread count
-    std::size_t queue_depth = 0;   ///< tasks submitted but not yet claimed
-    std::size_t busy_workers = 0;  ///< workers currently running a task
-    std::uint64_t submitted = 0;   ///< total tasks accepted by submit()
-    std::uint64_t executed = 0;    ///< total tasks that finished running
-    std::uint64_t stolen = 0;      ///< tasks claimed off another queue
-  };
-
   /// `threads == 0` means hardware_concurrency (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
@@ -47,63 +24,25 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const noexcept { return queue_count_; }
+  std::size_t thread_count() const noexcept { return workers_.size(); }
 
   /// Enqueue a task; the future resolves when it has run (exceptions
   /// propagate through the future).
   std::future<void> submit(std::function<void()> task);
 
-  /// Split [begin, end) into chunks of at least `grain`, run `body(lo, hi)`
-  /// on the pool, and block until every chunk finished. The calling thread
-  /// also works, so a pool of N threads yields N+1-way parallelism; while
-  /// waiting it keeps draining pool tasks, so nested parallel_for from a
-  /// worker cannot deadlock.
-  void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
-
-  Stats stats() const;
-
  private:
-  /// One per worker; padded so a submit landing on queue i never bounces
-  /// the line that worker j is popping from.
-  struct alignas(64) WorkerQueue {
-    // All queues share one rank: a claimer locks its own queue, finds it
-    // empty, RELEASES it, and only then probes victims - two queue locks
-    // are never held together, so same-rank acquisition never happens.
-    mutable Mutex mutex{LockRank::kPoolQueue, "pool.queue"};
-    std::deque<std::packaged_task<void()>> tasks QKD_GUARDED_BY(mutex);
-  };
+  void worker_loop();
+  bool has_work_or_stopping_locked() const QKD_REQUIRES(mutex_) {
+    return stopping_ || !tasks_.empty();
+  }
 
-  void worker_loop(std::size_t my_index);
-  /// Claim one task: `my_index`'s queue from the front, then steal from
-  /// the back of the others. kNoOwner (external caller) steals from all.
-  bool claim_and_run(std::size_t my_index);
-
-  static constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
-
-  std::unique_ptr<WorkerQueue[]> queues_;
-  /// Fixed before any worker starts; the steal loops read this, never
-  /// workers_.size() (the vector is still growing while early workers run).
-  std::size_t queue_count_ = 0;
+  Mutex mutex_{LockRank::kPool, "pool.queue"};
+  CondVar work_;
+  std::deque<std::packaged_task<void()>> tasks_ QKD_GUARDED_BY(mutex_);
+  bool stopping_ QKD_GUARDED_BY(mutex_) = false;
+  /// Declared last: workers start in the constructor body and read the
+  /// members above.
   std::vector<std::thread> workers_;
-  std::atomic<std::size_t> next_queue_{0};
-
-  /// Idle-parking state; pending_ counts submitted-but-unclaimed tasks.
-  Mutex idle_mutex_{LockRank::kPoolIdle, "pool.idle"};
-  CondVar idle_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> idle_count_{0};
-  std::atomic<bool> stopping_{false};
-
-  /// Observability counters (Stats snapshot).
-  std::atomic<std::size_t> busy_workers_{0};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> stolen_{0};
 };
-
-/// Process-wide pool for kernels that do not carry their own (sized from
-/// hardware_concurrency on first use).
-ThreadPool& global_pool();
 
 }  // namespace qkdpp

@@ -69,10 +69,6 @@ PostprocessEngine::PostprocessEngine(PostprocessParams params,
 }
 
 PostprocessEngine::~PostprocessEngine() {
-  // Join (and drain) the batch workers before devices_/executors_ are
-  // destroyed: queued submit_block tasks capture `this` and run the full
-  // stage chain, so they must not outlive the members they dereference.
-  batch_pool_.reset();
   // The ledger records the load of *live* placements (replan() already
   // swaps rather than accumulates): a torn-down engine must not leave
   // phantom load steering the surviving links away from idle hardware.
@@ -275,26 +271,6 @@ BlockOutcome PostprocessEngine::process_block(const BlockInput& input,
   }
   state.outcome.leak_ec_bits = state.ledger.ec_bits;
   return state.outcome;
-}
-
-std::future<BlockOutcome> PostprocessEngine::submit_block(
-    BlockInput input, std::uint64_t block_id, std::uint64_t rng_seed) {
-  std::call_once(batch_pool_once_, [this] {
-    batch_pool_ = std::make_unique<ThreadPool>(
-        std::max<std::size_t>(1, options_.batch_threads));
-  });
-  auto promise = std::make_shared<std::promise<BlockOutcome>>();
-  std::future<BlockOutcome> future = promise->get_future();
-  auto shared_input = std::make_shared<BlockInput>(std::move(input));
-  batch_pool_->submit([this, promise, shared_input, block_id, rng_seed] {
-    try {
-      Xoshiro256 rng(rng_seed);
-      promise->set_value(process_block(*shared_input, block_id, rng));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  });
-  return future;
 }
 
 }  // namespace qkdpp::engine

@@ -1,9 +1,8 @@
 // PostprocessEngine: the public entry point of the library.
 //
 // Construction runs the stage->device mapping optimizer over the configured
-// device roster (the paper's placement search), then every block - whether
-// submitted synchronously (process_block) or as a batch of futures
-// (submit_block) - executes the five-stage chain with each stage on its
+// device roster (the paper's placement search), then every block
+// (process_block) executes the five-stage chain with each stage on its
 // assigned device. CPU devices charge measured wall-clock, the simulated
 // accelerators charge modeled time, and the arithmetic is host-side and
 // bit-exact on every placement, so device selection changes the clock, not
@@ -13,15 +12,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>  // std::once_flag
 #include <string>
 #include <vector>
 
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
-#include "common/threadpool.hpp"
 #include "engine/block.hpp"
 #include "engine/params.hpp"
 #include "engine/stage.hpp"
@@ -117,13 +113,6 @@ class PostprocessEngine {
   BlockOutcome process_block(const BlockInput& input, std::uint64_t block_id,
                              Xoshiro256& rng);
 
-  /// Queue one block for asynchronous processing; each block draws from its
-  /// own RNG stream seeded with `rng_seed`, so a batch is deterministic
-  /// regardless of completion order.
-  std::future<BlockOutcome> submit_block(BlockInput input,
-                                         std::uint64_t block_id,
-                                         std::uint64_t rng_seed);
-
  private:
   void build_problem_locked() QKD_REQUIRES(plan_mutex_);
   void solve_and_commit_locked() QKD_REQUIRES(plan_mutex_);
@@ -136,9 +125,6 @@ class PostprocessEngine {
   /// The roster the stages run on: options.shared_devices, or a set built
   /// from options.devices and options.threads that only this engine uses.
   std::shared_ptr<hetero::DeviceSet> devices_;
-  /// Created lazily on the first submit_block().
-  std::once_flag batch_pool_once_;
-  std::unique_ptr<ThreadPool> batch_pool_;
   std::vector<std::unique_ptr<StageExecutor>> executors_;
   /// Guards placement_/problem_/raw_model_/params_/committed_by_this_:
   /// process_block snapshots under it, replan()/adapt_to_qber() swap under

@@ -72,8 +72,6 @@ struct EngineOptions {
   /// Host threads backing cpu-parallel kernels and the simulated
   /// accelerators (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Workers serving submit_block() futures.
-  std::size_t batch_threads = 2;
   StageWorkload workload;
 
   /// Single cpu-scalar device (the seed pipelines' behaviour).

@@ -1,7 +1,6 @@
 #include "pipeline/kms.hpp"
 
-#include <algorithm>
-#include <limits>
+#include <numeric>
 
 namespace qkdpp::pipeline {
 
@@ -17,198 +16,125 @@ const char* to_string(RejectReason reason) noexcept {
   return "unknown";
 }
 
-KeyStore::KeyStore(KeyStoreConfig config)
-    : config_(config),
-      shard_count_(std::max<std::size_t>(1, config.shards)),
-      shards_(std::make_unique<Shard[]>(shard_count_)) {}
+KeyStore::KeyStore(KeyStoreConfig config) : config_(config) {}
 
-bool KeyStore::try_reserve(std::uint64_t bits) noexcept {
-  // relaxed: optimistic first read and CAS-failure reload - the seq_cst
-  // success order below is the only edge anything synchronizes on.
-  std::uint64_t cur = in_store_bits_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (config_.capacity_bits != 0 && cur + bits > config_.capacity_bits) {
-      return false;
-    }
-    if (in_store_bits_.compare_exchange_weak(cur, cur + bits,
-                                             std::memory_order_seq_cst,
-                                             std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-}
-
-void KeyStore::release_bits(std::uint64_t bits) noexcept {
-  in_store_bits_.fetch_sub(bits, std::memory_order_seq_cst);
-  // Dekker with the kBlock slow path: a parking depositor raises
-  // space_waiters_ under space_mutex_ *before* re-trying the reservation,
-  // and we subtract the occupancy *before* reading the waiter count - at
-  // least one side observes the other, so no depositor sleeps through the
-  // space it was waiting for.
-  if (space_waiters_.load(std::memory_order_seq_cst) > 0) {
-    MutexLock lock(space_mutex_);
-    space_.notify_all();
-  }
-}
-
-void KeyStore::account_draw(std::string_view consumer, std::uint64_t bits) {
-  // relaxed: statistics counter; readers only need an eventually-exact
-  // total, never ordering against the key material itself.
-  consumed_bits_.fetch_add(bits, std::memory_order_relaxed);
-  if (consumer.empty()) consumer = kAnonymousConsumer;
-  MutexLock lock(ledger_mutex_);
-  const auto it = drawn_.find(consumer);
-  if (it != drawn_.end()) {
-    it->second += bits;
-  } else {
-    drawn_.emplace(std::string(consumer), bits);
-  }
-}
-
-DepositResult KeyStore::reject(RejectReason reason, std::uint64_t bits) {
-  // relaxed: statistics counters, same contract as consumed_bits_.
-  rejected_by_reason_[static_cast<std::size_t>(reason)].fetch_add(
-      1, std::memory_order_relaxed);
-  rejected_bits_.fetch_add(bits, std::memory_order_relaxed);
+DepositResult KeyStore::reject_locked(RejectReason reason,
+                                      std::uint64_t bits) {
+  ++rejected_by_reason_[static_cast<std::size_t>(reason)];
+  rejected_bits_ += bits;
   return DepositResult{0, reason};
 }
 
 DepositResult KeyStore::deposit(BitVec key) {
+  const std::uint64_t bits = key.size();
+  MutexLock lock(mutex_);
   // An empty key carries no material; minting an id would let consumers
   // draw zero-bit "keys" that still count toward keys_available().
-  if (key.size() == 0) return reject(RejectReason::kEmpty, 0);
-  const std::uint64_t bits = key.size();
+  if (bits == 0) return reject_locked(RejectReason::kEmpty, 0);
   if (config_.capacity_bits != 0 && bits > config_.capacity_bits) {
-    return reject(RejectReason::kOversized, bits);
+    return reject_locked(RejectReason::kOversized, bits);
   }
-  if (!try_reserve(bits)) {
+  if (!fits_locked(bits)) {
     if (config_.on_overflow != OverflowPolicy::kBlock) {
-      return reject(RejectReason::kCapacity, bits);
+      return reject_locked(RejectReason::kCapacity, bits);
     }
-    bool reserved = false;
-    {
-      MutexLock lock(space_mutex_);
-      space_waiters_.fetch_add(1, std::memory_order_seq_cst);
-      // Reservation first: a depositor woken with space available takes
-      // it even when the wake came from close() - only a close with *no*
-      // space rejects the key.
-      space_.wait(lock, [&] {
-        reserved = try_reserve(bits);
-        return reserved || closed_.load(std::memory_order_seq_cst);
-      });
-      space_waiters_.fetch_sub(1, std::memory_order_seq_cst);
-    }
-    if (!reserved) return reject(RejectReason::kClosed, bits);
+    // Space first: a depositor woken with room takes it even when the wake
+    // came from close() - only a close with *no* room rejects the key.
+    while (!fits_or_closed_locked(bits)) space_.wait(lock);
+    if (!fits_locked(bits)) return reject_locked(RejectReason::kClosed, bits);
   }
-  // relaxed: next_id_ only needs uniqueness (RMW atomicity gives that);
-  // deposited_bits_ is a statistics counter.
-  const std::uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  deposited_bits_.fetch_add(bits, std::memory_order_relaxed);
-  Shard& shard = shard_of(id);
-  {
-    MutexLock lock(shard.mutex);
-    shard.keys.emplace(id, std::move(key));
-  }
-  keys_count_.fetch_add(1, std::memory_order_release);
+  const std::uint64_t id = next_id_++;
+  in_store_bits_ += bits;
+  deposited_bits_ += bits;
+  keys_.emplace_hint(keys_.end(), id, std::move(key));
   return DepositResult{id, RejectReason::kNone};
 }
 
-std::optional<StoredKey> KeyStore::take_from_shard(Shard& shard,
-                                                   std::uint64_t key_id,
-                                                   std::string_view consumer) {
-  StoredKey out;
-  {
-    MutexLock lock(shard.mutex);
-    const auto it = shard.keys.find(key_id);
-    if (it == shard.keys.end()) return std::nullopt;
-    out = StoredKey{it->first, std::move(it->second)};
-    shard.keys.erase(it);
+StoredKey KeyStore::take_locked(std::map<std::uint64_t, BitVec>::iterator it,
+                                std::string_view consumer) {
+  StoredKey out{it->first, std::move(it->second)};
+  keys_.erase(it);
+  const std::uint64_t bits = out.bits.size();
+  in_store_bits_ -= bits;
+  consumed_bits_ += bits;
+  if (consumer.empty()) consumer = kAnonymousConsumer;
+  const auto entry = drawn_.find(consumer);
+  if (entry != drawn_.end()) {
+    entry->second += bits;
+  } else {
+    drawn_.emplace(std::string(consumer), bits);
   }
-  keys_count_.fetch_sub(1, std::memory_order_release);
-  account_draw(consumer, out.bits.size());
-  release_bits(out.bits.size());
+  if (config_.on_overflow == OverflowPolicy::kBlock) space_.notify_all();
   return out;
 }
 
 std::optional<StoredKey> KeyStore::get_key(std::string_view consumer) {
-  // FIFO across shards: find the smallest head id over every shard, then
-  // take it. A concurrent draw can empty the chosen slot between the scan
-  // and the take; retry the scan (draw order between racing consumers is
-  // unobservable anyway, sequential callers always see strict FIFO).
-  for (;;) {
-    std::uint64_t best_id = std::numeric_limits<std::uint64_t>::max();
-    Shard* best = nullptr;
-    for (std::size_t s = 0; s < shard_count_; ++s) {
-      Shard& shard = shards_[s];
-      MutexLock lock(shard.mutex);
-      if (!shard.keys.empty() && shard.keys.begin()->first < best_id) {
-        best_id = shard.keys.begin()->first;
-        best = &shard;
-      }
-    }
-    if (best == nullptr) return std::nullopt;
-    if (auto out = take_from_shard(*best, best_id, consumer)) return out;
-  }
+  MutexLock lock(mutex_);
+  if (keys_.empty()) return std::nullopt;
+  return take_locked(keys_.begin(), consumer);  // ids ascend: FIFO
 }
 
 std::optional<StoredKey> KeyStore::get_key_with_id(std::uint64_t key_id,
                                                    std::string_view consumer) {
-  return take_from_shard(shard_of(key_id), key_id, consumer);
+  MutexLock lock(mutex_);
+  const auto it = keys_.find(key_id);
+  if (it == keys_.end()) return std::nullopt;
+  return take_locked(it, consumer);
 }
 
 void KeyStore::close() {
-  closed_.store(true, std::memory_order_seq_cst);
-  // Take the mutex so the broadcast cannot land between a blocked
-  // depositor's predicate check and its sleep; every waiter across every
-  // shard parks on this one cv, so one broadcast wakes them all.
-  MutexLock lock(space_mutex_);
+  MutexLock lock(mutex_);
+  closed_ = true;
   space_.notify_all();
 }
 
 std::size_t KeyStore::keys_available() const {
-  return keys_count_.load(std::memory_order_acquire);
+  MutexLock lock(mutex_);
+  return keys_.size();
 }
 
 std::uint64_t KeyStore::bits_available() const {
-  return in_store_bits_.load(std::memory_order_acquire);
+  MutexLock lock(mutex_);
+  return in_store_bits_;
 }
 
 std::uint64_t KeyStore::total_deposited_bits() const {
-  return deposited_bits_.load(std::memory_order_acquire);
+  MutexLock lock(mutex_);
+  return deposited_bits_;
 }
 
 std::uint64_t KeyStore::total_consumed_bits() const {
-  return consumed_bits_.load(std::memory_order_acquire);
+  MutexLock lock(mutex_);
+  return consumed_bits_;
 }
 
 std::uint64_t KeyStore::rejected_keys() const {
-  std::uint64_t total = 0;
-  for (const auto& counter : rejected_by_reason_) {
-    total += counter.load(std::memory_order_acquire);
-  }
-  return total;
+  MutexLock lock(mutex_);
+  return std::accumulate(rejected_by_reason_.begin(),
+                         rejected_by_reason_.end(), std::uint64_t{0});
 }
 
 std::uint64_t KeyStore::rejected_bits() const {
-  return rejected_bits_.load(std::memory_order_acquire);
+  MutexLock lock(mutex_);
+  return rejected_bits_;
 }
 
 std::uint64_t KeyStore::rejected_keys(RejectReason reason) const {
   // kCount_ is a public enumerator; guard rather than index past the end.
   if (static_cast<std::size_t>(reason) >= kRejectReasonCount) return 0;
-  return rejected_by_reason_[static_cast<std::size_t>(reason)].load(
-      std::memory_order_acquire);
+  MutexLock lock(mutex_);
+  return rejected_by_reason_[static_cast<std::size_t>(reason)];
 }
 
 std::uint64_t KeyStore::consumed_by(std::string_view consumer) const {
   if (consumer.empty()) consumer = kAnonymousConsumer;
-  MutexLock lock(ledger_mutex_);
+  MutexLock lock(mutex_);
   const auto it = drawn_.find(consumer);
   return it != drawn_.end() ? it->second : 0;
 }
 
 std::map<std::string, std::uint64_t> KeyStore::draw_accounting() const {
-  MutexLock lock(ledger_mutex_);
+  MutexLock lock(mutex_);
   return {drawn_.begin(), drawn_.end()};
 }
 

@@ -6,14 +6,10 @@
 // that an SAE pair can agree on which key secures which flow. Thread-safe;
 // consumption is destructive exactly once.
 //
-// Internally the key map is striped across `KeyStoreConfig::shards`
-// shards (id % shards), each with its own lock, and every aggregate
-// counter (deposited/consumed/rejected bits, occupancy, id mint) is an
-// atomic - so concurrent depositors and consumers touching different keys
-// never contend on a global mutex. Capacity enforcement is a CAS
-// reservation on the occupancy atomic; only depositors that must *block*
-// for space (kBlock policy) take a shared slow-path mutex, and close()
-// wakes all of them at once across every shard.
+// One mutex guards the key map, every aggregate and the per-consumer
+// ledger; one condition variable parks kBlock depositors until a draw
+// frees space or close() releases them. A store has one depositor (its
+// link's worker) beside a few drawers, so nothing contends for more.
 //
 // The store is bounded: `capacity_bits` caps the material held at once
 // (0 = unbounded). A deposit that would overflow is either rejected with a
@@ -31,10 +27,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -86,7 +80,6 @@ enum class OverflowPolicy : std::uint8_t {
 struct KeyStoreConfig {
   std::uint64_t capacity_bits = 0;  ///< 0 = unbounded
   OverflowPolicy on_overflow = OverflowPolicy::kReject;
-  std::size_t shards = 8;  ///< lock stripes for the key map (min 1)
 };
 
 class KeyStore {
@@ -111,9 +104,8 @@ class KeyStore {
   std::optional<StoredKey> get_key_with_id(std::uint64_t key_id,
                                            std::string_view consumer = {});
 
-  /// Release *all* depositors blocked on a full store (kBlock), across
-  /// every shard; their keys are rejected. Further deposits still succeed
-  /// while space allows.
+  /// Release *all* depositors blocked on a full store (kBlock); their
+  /// keys are rejected. Further deposits still succeed while space allows.
   void close();
 
   std::size_t keys_available() const;
@@ -132,53 +124,35 @@ class KeyStore {
   std::map<std::string, std::uint64_t> draw_accounting() const;
 
  private:
-  /// One lock stripe of the key map; padded so neighbouring shards'
-  /// mutexes never share a cache line.
-  struct alignas(64) Shard {
-    // One rank for every shard: the FIFO scan and the takers lock shards
-    // strictly one at a time, so two shard locks are never held together.
-    mutable Mutex mutex{LockRank::kStoreShard, "kms.shard"};
-    std::map<std::uint64_t, BitVec> keys QKD_GUARDED_BY(mutex);
-  };
-
-  Shard& shard_of(std::uint64_t key_id) const noexcept {
-    return shards_[key_id % shard_count_];
+  bool fits_locked(std::uint64_t bits) const QKD_REQUIRES(mutex_) {
+    return config_.capacity_bits == 0 ||
+           in_store_bits_ + bits <= config_.capacity_bits;
   }
-
-  /// CAS-reserve `bits` of occupancy; false when it would overflow.
-  bool try_reserve(std::uint64_t bits) noexcept;
-  /// Return occupancy after a draw and wake blocked depositors if any.
-  void release_bits(std::uint64_t bits) noexcept;
-  void account_draw(std::string_view consumer, std::uint64_t bits);
-  DepositResult reject(RejectReason reason, std::uint64_t bits);
-  std::optional<StoredKey> take_from_shard(Shard& shard, std::uint64_t key_id,
-                                           std::string_view consumer);
+  bool fits_or_closed_locked(std::uint64_t bits) const QKD_REQUIRES(mutex_) {
+    return fits_locked(bits) || closed_;
+  }
+  DepositResult reject_locked(RejectReason reason, std::uint64_t bits)
+      QKD_REQUIRES(mutex_);
+  StoredKey take_locked(std::map<std::uint64_t, BitVec>::iterator it,
+                        std::string_view consumer) QKD_REQUIRES(mutex_);
 
   KeyStoreConfig config_;
-  std::size_t shard_count_ = 1;
-  std::unique_ptr<Shard[]> shards_;
 
-  /// Aggregates (lock-free readers/writers).
-  std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> in_store_bits_{0};
-  std::atomic<std::uint64_t> keys_count_{0};
-  std::atomic<std::uint64_t> deposited_bits_{0};
-  std::atomic<std::uint64_t> consumed_bits_{0};
-  std::atomic<std::uint64_t> rejected_bits_{0};
-  std::array<std::atomic<std::uint64_t>, kRejectReasonCount>
-      rejected_by_reason_{};
-  std::atomic<bool> closed_{false};
-
-  /// Slow path for kBlock depositors waiting on space; consumers only
-  /// touch it when space_waiters_ says someone is actually parked.
-  Mutex space_mutex_{LockRank::kStoreSpace, "kms.space"};
+  mutable Mutex mutex_{LockRank::kStore, "kms.store"};
+  /// kBlock depositors wait here for space (or close()).
   CondVar space_;
-  std::atomic<std::size_t> space_waiters_{0};
-
-  /// Per-consumer draw ledger (names span shards, so it stays unified).
-  mutable Mutex ledger_mutex_{LockRank::kStoreLedger, "kms.ledger"};
+  std::map<std::uint64_t, BitVec> keys_ QKD_GUARDED_BY(mutex_);
+  std::uint64_t next_id_ QKD_GUARDED_BY(mutex_) = 1;
+  std::uint64_t in_store_bits_ QKD_GUARDED_BY(mutex_) = 0;
+  std::uint64_t deposited_bits_ QKD_GUARDED_BY(mutex_) = 0;
+  std::uint64_t consumed_bits_ QKD_GUARDED_BY(mutex_) = 0;
+  std::uint64_t rejected_bits_ QKD_GUARDED_BY(mutex_) = 0;
+  std::array<std::uint64_t, kRejectReasonCount> rejected_by_reason_
+      QKD_GUARDED_BY(mutex_) = {};
+  bool closed_ QKD_GUARDED_BY(mutex_) = false;
+  /// Per-consumer draw ledger.
   std::map<std::string, std::uint64_t, std::less<>> drawn_
-      QKD_GUARDED_BY(ledger_mutex_);
+      QKD_GUARDED_BY(mutex_);
 };
 
 }  // namespace qkdpp::pipeline

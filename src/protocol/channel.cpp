@@ -111,34 +111,6 @@ class InProcessEndpoint final : public ClassicalChannel {
   ChannelCounters counters_ QKD_GUARDED_BY(state_->mutex);
 };
 
-class TamperingChannel final : public ClassicalChannel {
- public:
-  TamperingChannel(std::unique_ptr<ClassicalChannel> inner,
-                   std::uint32_t every)
-      : inner_(std::move(inner)), every_(every) {}
-
-  void send(std::vector<std::uint8_t> frame) override {
-    ++sent_;
-    if (every_ != 0 && sent_ % every_ == 0 && !frame.empty()) {
-      frame[frame.size() / 2] ^= 0x01;
-    }
-    inner_->send(std::move(frame));
-  }
-
-  std::vector<std::uint8_t> receive() override { return inner_->receive(); }
-  std::optional<std::vector<std::uint8_t>> receive_for(
-      std::chrono::microseconds timeout) override {
-    return inner_->receive_for(timeout);
-  }
-  void close() override { inner_->close(); }
-  ChannelCounters counters() const override { return inner_->counters(); }
-
- private:
-  std::unique_ptr<ClassicalChannel> inner_;
-  std::uint32_t every_;
-  std::uint64_t sent_ = 0;
-};
-
 }  // namespace
 
 std::pair<std::unique_ptr<ClassicalChannel>, std::unique_ptr<ClassicalChannel>>
@@ -147,11 +119,6 @@ make_channel_pair(ChannelModel model) {
   state->model = model;
   return {std::make_unique<InProcessEndpoint>(state, 0),
           std::make_unique<InProcessEndpoint>(state, 1)};
-}
-
-std::unique_ptr<ClassicalChannel> make_tampering_channel(
-    std::unique_ptr<ClassicalChannel> inner, std::uint32_t flip_byte_every) {
-  return std::make_unique<TamperingChannel>(std::move(inner), flip_byte_every);
 }
 
 }  // namespace qkdpp::protocol

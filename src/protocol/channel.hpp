@@ -90,9 +90,4 @@ class ClassicalChannel {
 std::pair<std::unique_ptr<ClassicalChannel>, std::unique_ptr<ClassicalChannel>>
 make_channel_pair(ChannelModel model = {});
 
-/// Test hook: an endpoint wrapper that corrupts traffic. `flip_byte_every`
-/// of N flips one bit in every Nth sent frame (0 disables).
-std::unique_ptr<ClassicalChannel> make_tampering_channel(
-    std::unique_ptr<ClassicalChannel> inner, std::uint32_t flip_byte_every);
-
 }  // namespace qkdpp::protocol

@@ -65,14 +65,15 @@ bool crc_ok(std::vector<std::uint8_t>& wire) {
 }  // namespace
 
 void RetryPolicy::validate() const {
-  QKDPP_REQUIRE(max_retries > 0, "RetryPolicy.max_retries must be > 0");
-  QKDPP_REQUIRE(base_timeout.count() > 0,
-                "RetryPolicy.base_timeout must be positive");
-  QKDPP_REQUIRE(backoff >= 1.0, "RetryPolicy.backoff must be >= 1");
-  QKDPP_REQUIRE(jitter >= 0.0 && jitter < 1.0,
-                "RetryPolicy.jitter must be in [0, 1)");
-  QKDPP_REQUIRE(exchange_deadline.count() > 0,
-                "RetryPolicy.exchange_deadline must be positive");
+  auto check = [](bool ok, const char* what) {
+    if (!ok) throw_error(ErrorCode::kConfig, what);
+  };
+  check(max_retries > 0, "RetryPolicy.max_retries must be > 0");
+  check(base_timeout.count() > 0, "RetryPolicy.base_timeout must be positive");
+  check(backoff >= 1.0, "RetryPolicy.backoff must be >= 1");
+  check(jitter >= 0.0 && jitter < 1.0, "RetryPolicy.jitter must be in [0, 1)");
+  check(exchange_deadline.count() > 0,
+        "RetryPolicy.exchange_deadline must be positive");
 }
 
 ReliableChannel::ReliableChannel(std::unique_ptr<ClassicalChannel> inner,

@@ -50,6 +50,8 @@ struct RetryPolicy {
   /// final frame was lost can still be healed before teardown.
   std::chrono::milliseconds close_linger{250};
 
+  /// Throws Error{kConfig} on a zero retry budget, a non-positive timeout
+  /// or deadline, backoff below 1, or jitter outside [0, 1).
   void validate() const;
 };
 

@@ -118,6 +118,13 @@ LinkOrchestrator::LinkOrchestrator(OrchestratorConfig config)
   }
   for (auto& spec : config_.links) {
     spec.link.validate();
+    // The session transport first builds its channels mid-run; a bad
+    // profile or retry posture must fail here, not inside a fleet run.
+    spec.channel_faults.validate();
+    for (const auto& phase : spec.schedule.channel_faults) {
+      phase.profile.validate();
+    }
+    spec.channel_retry.validate();
     QKDPP_REQUIRE(spec.pulses_per_block > 0, "empty block");
     if (!link_index_.emplace(spec.name, links_.size()).second) {
       throw_error(ErrorCode::kConfig,
@@ -495,18 +502,16 @@ OrchestratorReport LinkOrchestrator::run() {
   // Serialize overlapping fleets: per-link rng streams and block counters
   // are single-writer, and a second concurrent run() would interleave them.
   MutexLock gate(run_mutex_);
-  // Bounded by default: min(links, hardware threads). One OS thread per
-  // link stops scaling long before 128 links (oversubscription thrash);
-  // a work-stealing pool keeps every core busy while idle-link tasks wait
-  // their turn. Links are deterministic regardless of which worker runs
-  // them (per-link rng stream + block order live in LinkState).
+  // Bounded by default: min(links, hardware threads). Links are
+  // deterministic regardless of which worker runs them (per-link rng
+  // stream + block order live in LinkState).
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   const std::size_t workers =
       config_.workers ? config_.workers : std::min(links_.size(), hw);
-  ThreadPool pool(workers);
-
+  // Declared before the pool: the link tasks write into it.
   std::vector<LinkReport> reports(links_.size());
+  ThreadPool pool(workers);
   Stopwatch fleet_clock;
   std::vector<std::future<void>> done;
   done.reserve(links_.size());
@@ -514,11 +519,12 @@ OrchestratorReport LinkOrchestrator::run() {
     done.push_back(
         pool.submit([this, i, &reports] { run_link(i, reports[i]); }));
   }
+  // Every link finishes before the first link's error is rethrown.
+  for (auto& future : done) future.wait();
   for (auto& future : done) future.get();
 
   OrchestratorReport report;
   report.wall_seconds = fleet_clock.seconds();
-  report.pool = pool.stats();
   report.links = std::move(reports);
   for (const auto& link : report.links) {
     report.blocks_ok += link.blocks_ok;

@@ -30,7 +30,6 @@
 
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
-#include "common/threadpool.hpp"
 #include "engine/engine.hpp"
 #include "engine/params.hpp"
 #include "hetero/device_set.hpp"
@@ -148,10 +147,10 @@ struct OrchestratorConfig {
   /// Host threads backing the shared set's parallel kernels (0 = hw).
   std::size_t device_threads = 0;
   /// Worker threads driving links. 0 = min(link count, hardware threads):
-  /// a bounded work-stealing pool, so 128 links on a 16-core host run 16
-  /// at a time instead of oversubscribing 128 OS threads. Per-link
-  /// determinism is unaffected - each link's rng stream and block order
-  /// live in its LinkState, not in which worker runs it.
+  /// a bounded pool, so links beyond the core count wait their turn
+  /// instead of oversubscribing the host. Per-link determinism is
+  /// unaffected - each link's rng stream and block order live in its
+  /// LinkState, not in which worker runs it.
   std::size_t workers = 0;
   /// Bound applied to every link pair's KeyStore.
   pipeline::KeyStoreConfig store;
@@ -233,16 +232,14 @@ struct OrchestratorReport {
   std::uint64_t secret_bits = 0;
   double secret_bits_per_s = 0.0;      ///< aggregate over fleet wall time
   double blocks_per_s = 0.0;
-  /// Final snapshot of the link pool's counters (queue depth, steals,
-  /// busy workers): the pool's contention observability.
-  ThreadPool::Stats pool;
 };
 
 class LinkOrchestrator {
  public:
   /// Builds one engine per link over the shared device set, in link order
   /// (placement arbitration is deterministic). Throws Error{kConfig} on an
-  /// empty link list.
+  /// empty link list, a duplicate link name, or an invalid channel, fault
+  /// profile (standing or scheduled) or retry policy.
   explicit LinkOrchestrator(OrchestratorConfig config);
 
   std::size_t link_count() const noexcept { return links_.size(); }

@@ -1,7 +1,7 @@
 // PostprocessEngine tests: bit-exact final keys across all four DeviceKind
 // placements (device selection changes the clock, never the key), mapper
-// edge cases surfaced through the engine, batch submission determinism, and
-// the merged parameter plumbing.
+// edge cases surfaced through the engine, and the merged parameter
+// plumbing.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -117,36 +117,6 @@ TEST(PostprocessEngine, InvalidParamsRejected) {
   params = metro_params();
   params.qber_abort = 0.0;
   EXPECT_THROW(PostprocessEngine{params}, std::invalid_argument);
-}
-
-TEST(PostprocessEngine, SubmitBlockMatchesSynchronousResult) {
-  PostprocessEngine engine(metro_params(), EngineOptions::standard());
-  std::vector<std::future<BlockOutcome>> futures;
-  for (std::uint64_t b = 0; b < 3; ++b) {
-    futures.push_back(engine.submit_block(metro_input(b, 100 + b), b, 500 + b));
-  }
-  for (std::uint64_t b = 0; b < 3; ++b) {
-    const BlockOutcome async_outcome = futures[b].get();
-    Xoshiro256 rng(500 + b);
-    const BlockOutcome sync_outcome =
-        engine.process_block(metro_input(b, 100 + b), b, rng);
-    ASSERT_EQ(async_outcome.success, sync_outcome.success);
-    EXPECT_EQ(async_outcome.final_key, sync_outcome.final_key);
-    EXPECT_EQ(async_outcome.leak_ec_bits, sync_outcome.leak_ec_bits);
-  }
-}
-
-TEST(PostprocessEngine, DestructionWithOutstandingFuturesIsSafe) {
-  // Destroying the engine while submitted blocks are still queued must
-  // drain them against live devices/executors (regression: the batch pool
-  // must be joined before the rest of the engine is torn down).
-  std::future<BlockOutcome> orphan;
-  {
-    PostprocessEngine engine(metro_params(), EngineOptions::standard());
-    orphan = engine.submit_block(metro_input(9, 46), 9, 900);
-  }
-  const BlockOutcome outcome = orphan.get();  // completed before teardown
-  EXPECT_FALSE(outcome.abort_reason.empty() && !outcome.success);
 }
 
 TEST(PostprocessEngine, DeviceReportAccountsLaunches) {

@@ -23,14 +23,7 @@
 namespace qkdpp::pipeline {
 namespace {
 
-// Parameterized over the shard count: the single-stripe degenerate layout
-// and the default striped layout must behave identically at the API.
-class KeyStoreCloseRace : public ::testing::TestWithParam<std::size_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Shards, KeyStoreCloseRace,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}));
-
-TEST_P(KeyStoreCloseRace, BlockedDepositorsAlwaysReleasedAndAccounted) {
+TEST(KeyStoreCloseRace, BlockedDepositorsAlwaysReleasedAndAccounted) {
   constexpr int kRounds = 150;
   constexpr int kDepositors = 4;
   constexpr int kKeysEach = 8;
@@ -40,7 +33,6 @@ TEST_P(KeyStoreCloseRace, BlockedDepositorsAlwaysReleasedAndAccounted) {
     KeyStoreConfig config;
     config.capacity_bits = 2 * kKeyBits;  // at most two keys fit: most
     config.on_overflow = OverflowPolicy::kBlock;  // deposits must block
-    config.shards = GetParam();
     KeyStore store(config);
 
     std::atomic<std::uint64_t> accepted_bits{0};
@@ -100,15 +92,13 @@ TEST_P(KeyStoreCloseRace, BlockedDepositorsAlwaysReleasedAndAccounted) {
   }
 }
 
-TEST(KeyStoreCloseWakeAll, CloseWakesEveryBlockedDepositorAcrossShards) {
-  // Many depositors, all blocked at once on a one-key bound, keys landing
-  // in different shards: one close() must release every one of them (no
-  // depositor left sleeping on a shard that never got the signal).
+TEST(KeyStoreCloseWakeAll, CloseWakesEveryBlockedDepositor) {
+  // Many depositors, all blocked at once on a one-key bound: one close()
+  // must release every one of them (no depositor left sleeping).
   constexpr int kBlocked = 16;
   KeyStoreConfig config;
   config.capacity_bits = 64;
   config.on_overflow = OverflowPolicy::kBlock;
-  config.shards = 8;
   KeyStore store(config);
   Xoshiro256 seed_rng(7);
   ASSERT_TRUE(store.deposit(seed_rng.random_bits(64)).accepted());  // full

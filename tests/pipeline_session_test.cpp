@@ -19,6 +19,7 @@
 #include "engine/primitives.hpp"
 #include "engine/sim_adapter.hpp"
 #include "protocol/auth_channel.hpp"
+#include "protocol/faulty_channel.hpp"
 #include "sim/bb84.hpp"
 
 namespace qkdpp::pipeline {
@@ -142,8 +143,12 @@ TEST(Session, TamperedChannelDetectedByAuthentication) {
   auth::KeyPool bob_send(b2a), bob_recv(a2b);
 
   auto [raw_alice, raw_bob] = protocol::make_channel_pair();
-  // Adversary flips a bit in every 3rd frame Alice sends.
-  auto tampered = protocol::make_tampering_channel(std::move(raw_alice), 3);
+  // Adversary flips one bit in about every 3rd frame Alice sends (with
+  // seed 3 the first flip lands on her third frame).
+  protocol::FaultProfile adversary;
+  adversary.corrupt = 1.0 / 3.0;
+  auto tampered =
+      protocol::make_faulty_channel(std::move(raw_alice), adversary, 3);
   protocol::AuthenticatedChannel alice_channel(std::move(tampered),
                                                alice_send, alice_recv);
   protocol::AuthenticatedChannel bob_channel(std::move(raw_bob), bob_send,

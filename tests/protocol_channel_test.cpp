@@ -1,5 +1,5 @@
 // In-process channel pair: delivery order, blocking, close semantics,
-// counters, virtual-time model, tampering hook, authenticated wrapper.
+// counters, virtual-time model, authenticated wrapper.
 #include "protocol/auth_channel.hpp"
 #include "protocol/channel.hpp"
 
@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "protocol/faulty_channel.hpp"
 
 namespace qkdpp::protocol {
 namespace {
@@ -98,15 +99,6 @@ TEST(Channel, VirtualTimeModel) {
   EXPECT_NEAR(alice->counters().virtual_time_s, 1.02, 1e-9);
 }
 
-TEST(Channel, TamperingWrapperFlipsEveryNth) {
-  auto [alice, bob] = make_channel_pair();
-  auto tampering = make_tampering_channel(std::move(alice), 2);
-  tampering->send(frame_of("aaaa"));
-  tampering->send(frame_of("bbbb"));
-  EXPECT_EQ(bob->receive(), frame_of("aaaa"));
-  EXPECT_NE(bob->receive(), frame_of("bbbb"));
-}
-
 BitVec shared_material(std::uint64_t seed, std::size_t tags) {
   Xoshiro256 rng(seed);
   return rng.random_bits(auth::kTagKeyBits * tags);
@@ -135,7 +127,10 @@ TEST(AuthChannel, RoundTrip) {
 TEST(AuthChannel, DetectsTampering) {
   AuthFixture fx;
   auto [raw_a, raw_b] = make_channel_pair();
-  auto tampering = make_tampering_channel(std::move(raw_a), 1);
+  FaultProfile flip_every_frame;
+  flip_every_frame.corrupt = 1.0;
+  auto tampering =
+      make_faulty_channel(std::move(raw_a), flip_every_frame, /*seed=*/1);
   AuthenticatedChannel alice(std::move(tampering), fx.alice_send,
                              fx.alice_recv);
   AuthenticatedChannel bob(std::move(raw_b), fx.bob_send, fx.bob_recv);

@@ -1,8 +1,10 @@
 // LinkOrchestrator + shared-device arbitration tests: many links over one
 // device set deposit into bounded stores without deadlock; an 8-link fleet
-// on the worker pool conserves every bit and reruns byte-identically; the
-// mapper's base_load path steers placements away from loaded devices;
-// engine construction over a shared set commits its load to the ledger.
+// on the worker pool conserves every bit and reruns byte-identically; bad
+// channel settings fail at construction and one link's error is rethrown
+// only after every link finished; the mapper's base_load path steers
+// placements away from loaded devices; engine construction over a shared
+// set commits its load to the ledger.
 #include "service/link_orchestrator.hpp"
 
 #include <gtest/gtest.h>
@@ -109,6 +111,71 @@ TEST(LinkOrchestrator, EmptyLinkListRejected) {
   EXPECT_THROW(LinkOrchestrator{OrchestratorConfig{}}, Error);
 }
 
+/// Expects `config` to be refused at construction with Error{kConfig}.
+void expect_config_error(OrchestratorConfig config) {
+  try {
+    LinkOrchestrator orchestrator(std::move(config));
+    ADD_FAILURE() << "expected Error{kConfig} from the constructor";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kConfig) << e.what();
+  }
+}
+
+TEST(LinkOrchestrator, ChannelSettingsValidatedAtConstruction) {
+  // The session transport builds its channels inside run(); a bad rate or
+  // retry posture must fail here, not in the middle of a fleet run.
+  OrchestratorConfig standing = small_fleet(1);
+  standing.links[1].channel_faults.drop = 2.0;
+  expect_config_error(std::move(standing));
+
+  OrchestratorConfig phase = small_fleet(1);
+  sim::ChannelFaultPhase burst;
+  burst.begin_block = 0;
+  burst.end_block = 1;
+  burst.profile.drop = 2.0;
+  phase.links[1].schedule.channel_faults.push_back(burst);
+  expect_config_error(std::move(phase));
+
+  OrchestratorConfig retry = small_fleet(1);
+  retry.links[1].channel_retry.max_retries = 0;
+  expect_config_error(std::move(retry));
+}
+
+TEST(LinkOrchestrator, LinkErrorRethrownAfterEveryLinkFinishes) {
+  // Taking both host devices offline at block 1 leaves sift with nowhere to
+  // run, so each link's roster replan throws Error{kConfig}. The short link
+  // gets there while the long one is still inside its first block; run()
+  // must let the long link finish writing its report before rethrowing.
+  OrchestratorConfig config;
+  config.workers = 2;
+  config.replan = ReplanPolicy::adaptive();
+  const struct {
+    double km;
+    std::size_t pulses;
+  } links[] = {{5.0, std::size_t{1} << 14}, {10.0, std::size_t{1} << 22}};
+  for (const auto& link : links) {
+    LinkSpec spec;
+    spec.name = "link-" + std::to_string(static_cast<int>(link.km));
+    spec.link.channel.length_km = link.km;
+    spec.pulses_per_block = link.pulses;
+    spec.blocks = 2;
+    config.links.push_back(std::move(spec));
+  }
+  for (const std::size_t device : {std::size_t{0}, std::size_t{1}}) {
+    sim::DeviceEvent event;
+    event.device_index = device;  // cpu-scalar, cpu-parallel
+    event.offline_at_block = 1;
+    config.device_events.push_back(event);
+  }
+  LinkOrchestrator orchestrator(std::move(config));
+  try {
+    (void)orchestrator.run();
+    ADD_FAILURE() << "expected Error{kConfig} from run()";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kConfig) << e.what();
+  }
+}
+
 TEST(LinkOrchestrator, SharedSetAccumulatesCommittedLoads) {
   // Engines are built in link order against the shared ledger: every
   // engine's placement must add load, and the final ledger equals the sum
@@ -152,7 +219,7 @@ TEST(LinkOrchestrator, SharedDevicesAccountWorkFromAllLinks) {
 
 /// Eight metro links with small blocks (~12k sifted bits), staggered over
 /// 5-19 km: per-block work is tiny, so the worker pool's handoffs and the
-/// sharded stores carry the load.
+/// stores carry the load.
 OrchestratorConfig eight_small_links() {
   OrchestratorConfig config;
   config.store.capacity_bits = std::uint64_t{1} << 22;  // roomy: no rejects
