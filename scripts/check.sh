@@ -21,9 +21,11 @@
 #   QKDPP_CHECK_WERROR=1       configure with -DQKDPP_WERROR=ON (the CI
 #                              clang leg promotes warnings to errors).
 #   QKDPP_CHECK_SMOKE=0        skip the smoke runs (the CI Debug legs do:
-#                              at -O0 the smoke takes ~21 s on a 4-vCPU
-#                              host, its n = 4096 PEG codes 0.2-1.8 s each
-#                              to build; unit tests still cover both).
+#                              at -O0 on a 4-vCPU host the smoke takes
+#                              ~37 s, its n = 4096 PEG codes 0.2-1.8 s
+#                              each to build, while ctest -j4 runs the
+#                              unit and integration tiers in ~33 s; those
+#                              tiers still cover both).
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -452,8 +452,10 @@ SessionResult run_bob_session(ClassicalChannel& channel,
     if (first_start.method == ReconcileMethod::kLdpc) {
       // Alice streams one ReconcileStart per frame, all on the first one's
       // plan; the block is decoded once every syndrome is in. The plan
-      // comes off the wire: an unknown code, or one that leaves no payload
-      // (a division by zero below), is a protocol fault.
+      // comes off the wire: an unknown code, one that leaves no payload
+      // (a division by zero below), or one that punctures more bits than
+      // the syndrome has (a leak count that would wrap) is a protocol
+      // fault.
       const auto table = reconcile::code_table();
       if (std::none_of(table.begin(), table.end(), [&](const auto& spec) {
             return spec.id == first_start.code_id;
@@ -468,6 +470,10 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       plan.n_shortened = first_start.n_shortened;
       if (std::uint64_t{plan.n_punctured} + plan.n_shortened >= code.n()) {
         throw_error(ErrorCode::kProtocol, "frame plan leaves no payload");
+      }
+      if (plan.n_punctured > code.m()) {
+        throw_error(ErrorCode::kProtocol,
+                    "frame plan punctures more bits than the syndrome has");
       }
       plan.payload_bits = code.n() - plan.n_punctured - plan.n_shortened;
       const std::size_t frames = key.size() / plan.payload_bits;

@@ -23,7 +23,8 @@ std::int8_t quantize_llr(float llr) noexcept {
 namespace {
 
 /// Normalization alpha = 26/32 = 0.8125, the nearest 5-bit fixed point to
-/// the textbook 0.8. One multiply + shift per message.
+/// the textbook 0.8. One multiply + shift per check and magnitude (min1,
+/// min2).
 constexpr int kAlphaNumerator = 26;
 constexpr int kAlphaShift = 5;
 
@@ -131,20 +132,19 @@ template <int L, int V>
   const std::size_t m = code.m();
   const std::size_t batch = jobs.size();
 
-  // Priors: lane l = frame l's quantized LLRs. Syndromes become sign rows:
+  // Priors: lane l = frame l's int8 prior. Syndromes become sign rows:
   // bit 15 of lane l holds frame l's syndrome bit, the seed of the lane's
   // sign parity. Pad lanes stay all-zero, so their messages, posteriors
   // and parities are identically zero and never perturb real lanes.
   std::memset(buf.posterior, 0, n * L * sizeof(std::int16_t));
   std::memset(buf.sign, 0, m * L * sizeof(std::int16_t));
   for (std::size_t f = 0; f < batch; ++f) {
-    const std::vector<float>& llr = *jobs[f].llr;
-    for (std::size_t v = 0; v < n; ++v) {
-      buf.posterior[v * L + f] = quantize_llr(llr[v]);
-    }
-    const BitVec& syndrome = *jobs[f].syndrome;
+    const std::int8_t* prior = jobs[f].prior->data();
+    for (std::size_t v = 0; v < n; ++v) buf.posterior[v * L + f] = prior[v];
+    const std::span<const std::uint64_t> syndrome = jobs[f].syndrome->words();
     for (std::size_t c = 0; c < m; ++c) {
-      if (syndrome.get(c)) buf.sign[c * L + f] = -0x8000;
+      const int bit = static_cast<int>((syndrome[c >> 6] >> (c & 63)) & 1u);
+      buf.sign[c * L + f] = static_cast<std::int16_t>(bit * -0x8000);
     }
   }
   std::memset(buf.r, 0, code.edges() * L);
@@ -194,13 +194,19 @@ template <int L, int V>
           min2 = hi < min2 ? hi : min2;
         }
         // Pass 2: emit messages (self-excluded minimum, normalized, signed
-        // by total parity ^ own sign) and refresh posteriors in place. A
-        // magnitude equal to min1 takes min2 whether or not it set min1 -
-        // on ties min1 == min2, so the select is exact without an argmin.
+        // by total parity ^ own sign) and refresh posteriors in place. The
+        // self-excluded minimum is min1 or min2, so both are normalized
+        // once per check, each clamped to the rail first: a degree-1 check
+        // leaves min2 at its unset 0x7FFF, whose product would overflow
+        // int16. A magnitude equal to min1 takes min2 whether or not it
+        // set min1 - on ties min1 == min2, so the select is exact without
+        // an argmin.
+        const Wide scaled1 =
+            ((min1 > rail ? rail : min1) * kAlphaNumerator) >> kAlphaShift;
+        const Wide scaled2 =
+            ((min2 > rail ? rail : min2) * kAlphaNumerator) >> kAlphaShift;
         for (std::size_t i = 0; i < deg; ++i) {
-          Wide mag = abuf[i] == min1 ? min2 : min1;
-          mag = mag > rail ? rail : mag;  // deg-1 corner
-          const Wide scaled = (mag * kAlphaNumerator) >> kAlphaShift;
+          const Wide scaled = abuf[i] == min1 ? scaled2 : scaled1;
           // All-ones where the message is negative (parity ^ own sign),
           // else zero; (x ^ mask) - mask negates under the mask.
           const Wide mask = (sgn ^ qbuf[i]) >> 15;
@@ -338,9 +344,9 @@ void decode_syndrome_batch_on(MinSumIsa isa, const LdpcCode& code,
                 "batch decoder stores H with 16-bit indices");
   QKDPP_REQUIRE(config.max_iterations >= 1, "need at least one iteration");
   for (const QuantDecodeJob& job : jobs) {
-    QKDPP_REQUIRE(job.syndrome != nullptr && job.llr != nullptr,
-                  "batch job missing syndrome or llr");
-    QKDPP_REQUIRE(job.llr->size() == code.n(), "LLR length mismatch");
+    QKDPP_REQUIRE(job.syndrome != nullptr && job.prior != nullptr,
+                  "batch job missing syndrome or prior");
+    QKDPP_REQUIRE(job.prior->size() == code.n(), "prior length mismatch");
     QKDPP_REQUIRE(job.syndrome->size() == code.m(), "syndrome length mismatch");
   }
 
@@ -382,7 +388,9 @@ void decode_syndrome_batch(const LdpcCode& code,
 DecodeResult decode_syndrome_quant(const LdpcCode& code, const BitVec& syndrome,
                                    const std::vector<float>& llr,
                                    const DecoderConfig& config) {
-  const QuantDecodeJob job{&syndrome, &llr};
+  std::vector<std::int8_t> prior(llr.size());
+  std::transform(llr.begin(), llr.end(), prior.begin(), quantize_llr);
+  const QuantDecodeJob job{&syndrome, &prior};
   std::vector<DecodeResult> results;
   decode_syndrome_batch(code, {&job, 1}, config, results);
   return std::move(results.front());

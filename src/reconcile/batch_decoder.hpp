@@ -18,10 +18,14 @@
 //
 // Fixed-point format: LLRs carry 3 fractional bits (scale 8) and saturate
 // at +-127, so the "known" magnitude kKnownLlr (64.0) pins to the rail.
-// Messages are int8; posteriors live in int16 and cannot overflow: a
-// posterior is a clamped +-127 prior plus one +-127 message per layer
-// step, bounded well inside int16. The normalization alpha is 26/32 =
-// 0.8125, one multiply and shift per message.
+// Jobs hand the kernel these int8 priors directly (quantize_llr); the
+// float-LLR entry point decode_syndrome_quant quantizes once and runs the
+// same kernel. Messages are int8; posteriors live in int16 and cannot
+// overflow: a posterior is a clamped +-127 prior plus one +-127 message
+// per layer step, bounded well inside int16. The normalization alpha is
+// 26/32 = 0.8125, applied per check: a check's self-excluded magnitude is
+// always its min1 or its min2, so both are clamped and scaled once and
+// each message selects one of the two.
 //
 // Every lane's arithmetic is independent of every other lane's, so a
 // frame decodes bit-identically whether it rides alone or shares a batch
@@ -54,10 +58,11 @@ std::int8_t quantize_llr(float llr) noexcept;
 constexpr std::size_t kMaxBatchFrames = 64;
 
 /// One frame of a lockstep batch. All jobs in a batch share the code;
-/// each brings its own syndrome and float LLRs (quantized internally).
+/// each brings its own syndrome and its int8 prior, already in the
+/// kernel's fixed-point format (quantize_llr).
 struct QuantDecodeJob {
-  const BitVec* syndrome = nullptr;       ///< length code.m()
-  const std::vector<float>* llr = nullptr;  ///< length code.n()
+  const BitVec* syndrome = nullptr;              ///< length code.m()
+  const std::vector<std::int8_t>* prior = nullptr;  ///< length code.n()
 };
 
 /// Decode up to kMaxBatchFrames frames in lockstep. `results` is resized
@@ -72,8 +77,10 @@ void decode_syndrome_batch(const LdpcCode& code,
                            const DecoderConfig& config,
                            std::vector<DecodeResult>& results);
 
-/// Decode one frame: the single-frame entry point, a one-job batch of the
-/// same kernel (bit-identical to the frame's result inside any batch).
+/// Decode one frame from float LLRs: quantizes them once (quantize_llr)
+/// and runs a one-job batch of the same kernel, so the result is
+/// bit-identical to the frame's inside any batch. The one-frame test
+/// oracle; production builds int8 priors and calls decode_syndrome_batch.
 DecodeResult decode_syndrome_quant(const LdpcCode& code, const BitVec& syndrome,
                                    const std::vector<float>& llr,
                                    const DecoderConfig& config);

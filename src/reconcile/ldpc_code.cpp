@@ -275,10 +275,14 @@ LdpcCode LdpcCode::quasi_cyclic(std::size_t lifting, unsigned check_degree,
 BitVec LdpcCode::syndrome(const BitVec& x) const {
   QKDPP_REQUIRE(x.size() == n_, "syndrome input length mismatch");
   BitVec s(m_);
+  const std::span<const std::uint64_t> in = x.words();
+  const std::span<std::uint64_t> out = s.mutable_words();
   for (std::size_t c = 0; c < m_; ++c) {
-    bool parity = false;
-    for (const std::uint32_t v : check_vars(c)) parity ^= x.get(v);
-    if (parity) s.set(c, true);
+    std::uint64_t parity = 0;
+    for (const std::uint32_t v : check_vars(c)) {
+      parity ^= in[v >> 6] >> (v & 63);
+    }
+    out[c >> 6] |= (parity & 1) << (c & 63);
   }
   return s;
 }

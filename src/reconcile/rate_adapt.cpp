@@ -1,6 +1,7 @@
 #include "reconcile/rate_adapt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/entropy.hpp"
@@ -15,21 +16,43 @@ RateAdaptation derive_adaptation(std::size_t n, std::uint32_t n_punctured,
   QKDPP_REQUIRE(std::size_t{n_punctured} + n_shortened <= n,
                 "adaptation exceeds frame");
   Xoshiro256 rng(seed ^ 0xada97ca7104eULL);
+  // A backward Fisher-Yates shuffle: its prefix is final only once the
+  // whole permutation is.
   const auto perm = rng.permutation(n);
 
+  // Mark the two classes in n-bit bitmaps, then read all three lists back
+  // in ascending order by word scans; the payload is the complement, with
+  // the tail word masked to [0, n).
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> punctured(words, 0);
+  std::vector<std::uint64_t> shortened(words, 0);
+  const std::size_t special = std::size_t{n_punctured} + n_shortened;
+  const auto mark = [&perm](std::size_t begin, std::size_t end,
+                            std::vector<std::uint64_t>& map) {
+    for (std::size_t i = begin; i < end; ++i) {
+      map[perm[i] >> 6] |= std::uint64_t{1} << (perm[i] & 63);
+    }
+  };
+  mark(0, n_punctured, punctured);
+  mark(n_punctured, special, shortened);
+  const auto emit = [](std::uint64_t bits, std::size_t w,
+                       std::vector<std::uint32_t>& out) {
+    for (; bits != 0; bits &= bits - 1) {
+      out.push_back(static_cast<std::uint32_t>(
+          (w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  };
   RateAdaptation adaptation;
-  adaptation.punctured.assign(perm.begin(), perm.begin() + n_punctured);
-  adaptation.shortened.assign(perm.begin() + n_punctured,
-                              perm.begin() + n_punctured + n_shortened);
-  std::sort(adaptation.punctured.begin(), adaptation.punctured.end());
-  std::sort(adaptation.shortened.begin(), adaptation.shortened.end());
-
-  std::vector<std::uint8_t> special(n, 0);
-  for (const auto p : adaptation.punctured) special[p] = 1;
-  for (const auto s : adaptation.shortened) special[s] = 1;
-  adaptation.payload.reserve(n - n_punctured - n_shortened);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (!special[v]) adaptation.payload.push_back(v);
+  adaptation.punctured.reserve(n_punctured);
+  adaptation.shortened.reserve(n_shortened);
+  adaptation.payload.reserve(n - special);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t in_frame =
+        w + 1 < words || n % 64 == 0 ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << (n % 64)) - 1;
+    emit(punctured[w], w, adaptation.punctured);
+    emit(shortened[w], w, adaptation.shortened);
+    emit(in_frame & ~(punctured[w] | shortened[w]), w, adaptation.payload);
   }
   return adaptation;
 }

@@ -19,14 +19,16 @@ LdpcFrameSender::LdpcFrameSender(const FramePlan& plan, const BitVec& payload,
   adaptation_ = derive_adaptation(code.n(), plan.n_punctured,
                                   plan.n_shortened, frame_seed);
   frame_ = BitVec(code.n());
+  const std::span<std::uint64_t> words = frame_.mutable_words();
+  const auto put = [&words](std::uint32_t position, bool value) {
+    words[position >> 6] |= std::uint64_t{value} << (position & 63);
+  };
   for (std::size_t i = 0; i < adaptation_.payload.size(); ++i) {
-    if (payload.get(i)) frame_.set(adaptation_.payload[i], true);
+    put(adaptation_.payload[i], payload.get(i));
   }
   // Punctured positions carry the sender's *private* randomness - never
   // transmitted, unknown to Eve; shortened positions stay 0.
-  for (const auto p : adaptation_.punctured) {
-    if (private_rng.bernoulli(0.5)) frame_.set(p, true);
-  }
+  for (const auto p : adaptation_.punctured) put(p, private_rng.bernoulli(0.5));
   syndrome_ = code.syndrome(frame_);
 }
 
@@ -114,6 +116,9 @@ BatchReconcileStats ldpc_decode_block(
   QKDPP_REQUIRE(syndromes.size() == frames, "one syndrome per frame");
   QKDPP_REQUIRE(frames * plan.payload_bits <= bob_key.size(),
                 "frames exceed key length");
+  // Each frame is charged m - d syndrome bits.
+  QKDPP_REQUIRE(plan.n_punctured <= code.m(),
+                "plan punctures more bits than the syndrome has");
   BatchReconcileStats stats;
   stats.frames = frames;
   stats.converged = BitVec(frames);
@@ -125,24 +130,32 @@ BatchReconcileStats ldpc_decode_block(
   decoder.max_iterations =
       std::min(decoder.max_iterations, kBlindAttemptIterations);
 
-  // Priors: channel LLRs at payload positions, pinned shortened positions,
+  // Int8 priors (the decoder's fixed-point LLRs): the channel magnitude at
+  // payload positions, signed by Bob's bit; pinned shortened positions;
   // erased (punctured) positions at zero.
   BitVec local_payload;
   BitVec& payload = arena != nullptr ? arena->scratch_bits() : local_payload;
-  const float channel = bsc_llr(qber);
+  const std::int8_t channel = quantize_llr(bsc_llr(qber));
+  const std::int8_t known = quantize_llr(kKnownLlr);
+  // +magnitude for a 0 bit, -magnitude for a 1, without a branch on the
+  // bit: with flip = -bit, (x ^ flip) - flip is x or ~x + 1 == -x.
+  const auto signed_by = [](std::int8_t magnitude, bool bit) {
+    const int flip = -static_cast<int>(bit);
+    return static_cast<std::int8_t>((magnitude ^ flip) - flip);
+  };
   std::vector<RateAdaptation> adaptations(frames);
-  std::vector<std::vector<float>> llrs(frames);
+  std::vector<std::vector<std::int8_t>> priors(frames);
   for (std::size_t f = 0; f < frames; ++f) {
     bob_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
     adaptations[f] = derive_adaptation(code.n(), plan.n_punctured,
                                        plan.n_shortened, frame_seeds[f]);
-    std::vector<float>& llr = llrs[f];
-    llr.assign(code.n(), 0.0f);
+    std::vector<std::int8_t>& prior = priors[f];
+    prior.assign(code.n(), 0);
     const auto& positions = adaptations[f].payload;
     for (std::size_t i = 0; i < positions.size(); ++i) {
-      llr[positions[i]] = payload.get(i) ? -channel : channel;
+      prior[positions[i]] = signed_by(channel, payload.get(i));
     }
-    for (const auto s : adaptations[f].shortened) llr[s] = kKnownLlr;
+    for (const auto s : adaptations[f].shortened) prior[s] = known;
   }
 
   struct FrameAccount {
@@ -174,7 +187,7 @@ BatchReconcileStats ldpc_decode_block(
       jobs.clear();
       for (std::size_t i = 0; i < count; ++i) {
         const std::uint32_t f = pending[off + i];
-        jobs.push_back(QuantDecodeJob{&syndromes[f], &llrs[f]});
+        jobs.push_back(QuantDecodeJob{&syndromes[f], &priors[f]});
       }
       decode_syndrome_batch(code, jobs, decoder, results);
       for (std::size_t i = 0; i < count; ++i) {
@@ -208,8 +221,8 @@ BatchReconcileStats ldpc_decode_block(
       for (std::size_t i = 0; i < reveal.positions.size(); ++i) {
         QKDPP_REQUIRE(reveal.positions[i] < code.n(),
                       "reveal position out of range");
-        llrs[f][reveal.positions[i]] =
-            reveal.values.get(i) ? -kKnownLlr : kKnownLlr;
+        priors[f][reveal.positions[i]] =
+            signed_by(known, reveal.values.get(i));
       }
       account[f].leaked += reveal.positions.size();
       account[f].rounds += 1;

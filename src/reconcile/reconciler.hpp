@@ -169,7 +169,9 @@ struct BatchReconcileStats {
 /// next reveal chunks. Converged frames' corrected payloads are appended to
 /// `bob_out` in frame order; failed frames' leakage still counts.
 /// `per_frame` (nullable) receives one ReconcileOutcome per frame; `arena`
-/// (nullable) backs the decoder and payload scratch.
+/// (nullable) backs the decoder and payload scratch. Requires
+/// plan.n_punctured <= the code's m: each frame is charged m - n_punctured
+/// syndrome bits.
 BatchReconcileStats ldpc_decode_block(
     const BitVec& bob_key, double qber, const FramePlan& plan,
     std::span<const std::uint64_t> frame_seeds,

@@ -56,12 +56,13 @@ TEST(QuasiCyclic, DecodesThroughLockstepBatch) {
     if (rng.bernoulli(q)) bob.flip(i);
   }
   const BitVec syndrome = code.syndrome(alice);
-  const float channel = reconcile::bsc_llr(q);
-  std::vector<float> llr(code.n());
+  const std::int8_t channel =
+      reconcile::quantize_llr(reconcile::bsc_llr(q));
+  std::vector<std::int8_t> prior(code.n());
   for (std::size_t v = 0; v < code.n(); ++v) {
-    llr[v] = bob.get(v) ? -channel : channel;
+    prior[v] = static_cast<std::int8_t>(bob.get(v) ? -channel : channel);
   }
-  const reconcile::QuantDecodeJob job{&syndrome, &llr};
+  const reconcile::QuantDecodeJob job{&syndrome, &prior};
   const std::vector<reconcile::QuantDecodeJob> jobs(4, job);
   std::vector<reconcile::DecodeResult> results;
   reconcile::decode_syndrome_batch(code, jobs, reconcile::DecoderConfig{},

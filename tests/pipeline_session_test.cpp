@@ -396,6 +396,7 @@ enum class HostileField {
   kUnknownCode,        // code_id outside the code table
   kPlanChanges,        // last frame's puncture count differs from the first
   kUnaskedFrame,       // BlindResponse for a frame Bob did not ask about
+  kPunctureExceedsSyndrome,  // n_punctured = m + 1: the m - d leak wraps
 };
 
 // A scripted Alice: honest through sifting and estimation, then streams a
@@ -427,7 +428,14 @@ TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
 
     // The honest plan (code 0, nothing punctured or shortened) cuts the
     // signal bits into whole 1024-bit frames; Bob expects one start each.
-    const std::size_t frames = sift.result.signal_mask.popcount() / code.n();
+    // An over-punctured plan leaves n - (m + 1) payload bits per frame, so
+    // it announces that many more frames.
+    const std::uint32_t punctured =
+        field == HostileField::kPunctureExceedsSyndrome
+            ? static_cast<std::uint32_t>(code.m() + 1)
+            : 0;
+    const std::size_t frames =
+        sift.result.signal_mask.popcount() / (code.n() - punctured);
     Xoshiro256 rng(11);
     for (std::size_t f = 0; f < frames; ++f) {
       const bool last = f + 1 == frames;
@@ -456,6 +464,9 @@ TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
           break;
         case HostileField::kPlanChanges:
           if (last) start.n_punctured = 1;
+          break;
+        case HostileField::kPunctureExceedsSyndrome:
+          start.n_punctured = punctured;
           break;
         default:
           break;
@@ -508,15 +519,14 @@ TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
   EXPECT_TRUE(bob.final_key.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(ReconcileFields, HostileAlice,
-                         ::testing::Values(HostileField::kNoPayloadPlan,
-                                           HostileField::kShortSyndrome,
-                                           HostileField::kBlindShape,
-                                           HostileField::kBlindPosition,
-                                           HostileField::kNanQberHint,
-                                           HostileField::kUnknownCode,
-                                           HostileField::kPlanChanges,
-                                           HostileField::kUnaskedFrame));
+INSTANTIATE_TEST_SUITE_P(
+    ReconcileFields, HostileAlice,
+    ::testing::Values(HostileField::kNoPayloadPlan,
+                      HostileField::kShortSyndrome, HostileField::kBlindShape,
+                      HostileField::kBlindPosition, HostileField::kNanQberHint,
+                      HostileField::kUnknownCode, HostileField::kPlanChanges,
+                      HostileField::kUnaskedFrame,
+                      HostileField::kPunctureExceedsSyndrome));
 
 // Reconcile-stage fields a hostile Bob can put on the wire.
 enum class HostileRequest {

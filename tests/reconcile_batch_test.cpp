@@ -1,7 +1,8 @@
 // Batched quantized reconciliation: the decode-equivalence property (a
 // frame decodes bit-identically alone or inside any batch, at every lane
 // width, on every instruction-set build of the kernel the host runs), the
-// kernel's output pinned to a digest of the kernel it replaced, batch key
+// kernel's output pinned to a digest of the kernel it replaced, the lane
+// kernel against a scalar one-frame reference at random shapes, batch key
 // reconciliation vs a sequential single-frame reference kept here as the
 // test oracle (corrected payloads AND leak accounting), the
 // blind-vs-fixed-rate disclosure ordering on a quiet channel, and the
@@ -13,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -37,10 +40,11 @@ BitVec corrupt(const BitVec& key, double q, Xoshiro256& rng) {
 // A seeded set of frames for `code`: frame j runs at QBER 1-9% (cycling),
 // so a batch mixes instant converges with stragglers and likely failures,
 // and carries punctured (erasure) and pinned (known) positions, the two
-// rate-adaptation LLR classes.
+// rate-adaptation LLR classes. Each frame's float LLRs are quantized with
+// quantize_llr into the int8 prior its job carries.
 struct FrameSet {
   std::vector<BitVec> syndromes;
-  std::vector<std::vector<float>> llrs;
+  std::vector<std::vector<std::int8_t>> priors;
 };
 
 FrameSet make_frames(const LdpcCode& code, std::size_t count,
@@ -61,7 +65,9 @@ FrameSet make_frames(const LdpcCode& code, std::size_t count,
     for (std::size_t v = j % 53 + 5; v < code.n(); v += 53) {
       llr[v] = x.get(v) ? -kKnownLlr : kKnownLlr;
     }
-    set.llrs.push_back(std::move(llr));
+    std::vector<std::int8_t> prior(code.n());
+    std::transform(llr.begin(), llr.end(), prior.begin(), quantize_llr);
+    set.priors.push_back(std::move(prior));
   }
   return set;
 }
@@ -71,7 +77,7 @@ std::vector<QuantDecodeJob> jobs_of(const FrameSet& set, std::size_t first,
   std::vector<QuantDecodeJob> jobs(count);
   for (std::size_t j = 0; j < count; ++j) {
     jobs[j].syndrome = &set.syndromes[first + j];
-    jobs[j].llr = &set.llrs[first + j];
+    jobs[j].prior = &set.priors[first + j];
   }
   return jobs;
 }
@@ -188,6 +194,182 @@ TEST_P(KernelDigest, MatchesParentKernelDigest) {
 INSTANTIATE_TEST_SUITE_P(Isa, KernelDigest, kIsas, [](const auto& info) {
   return isa_name(info.param);
 });
+
+// --- the lane kernel vs a scalar reference at random shapes -------------
+
+// Scalar one-frame int8 layered min-sum - a test oracle, not a production
+// path. It follows the kernel's arithmetic contract, not its lane layout:
+// q = posterior - r clamped to the +-127 rails, the two smallest |q| of a
+// check, the self-excluded one (min2 where |q| == min1) clamped to the
+// rail and scaled by 26/32, signed by the check's syndrome bit XOR every
+// other q's sign; posteriors refresh in place, check by check. After each
+// iteration the frame converges when every check's posterior signs XOR to
+// its syndrome bit, and its word is that iteration's hard decision.
+DecodeResult scalar_reference_decode(const LdpcCode& code,
+                                     const BitVec& syndrome,
+                                     const std::vector<std::int8_t>& prior,
+                                     unsigned max_iterations) {
+  std::vector<int> posterior(prior.begin(), prior.end());
+  std::vector<int> r(code.edges(), 0);
+  std::vector<int> q;
+  const auto hard_decision = [&] {
+    BitVec word(code.n());
+    for (std::size_t v = 0; v < code.n(); ++v) word.set(v, posterior[v] < 0);
+    return word;
+  };
+  const auto satisfied = [&] {
+    for (std::size_t c = 0; c < code.m(); ++c) {
+      bool parity = syndrome.get(c);
+      for (const std::uint32_t v : code.check_vars(c)) {
+        parity ^= posterior[v] < 0;
+      }
+      if (parity) return false;
+    }
+    return true;
+  };
+  for (unsigned iter = 1; iter <= max_iterations; ++iter) {
+    for (std::size_t c = 0; c < code.m(); ++c) {
+      const auto vars = code.check_vars(c);
+      const std::size_t base = code.check_edge_begin(c);
+      bool parity = syndrome.get(c);
+      int min1 = 0x7FFF;  // unset until an edge sets it
+      int min2 = 0x7FFF;
+      q.assign(vars.size(), 0);
+      for (std::size_t i = 0; i < vars.size(); ++i) {
+        q[i] = std::clamp(posterior[vars[i]] - r[base + i], -127, 127);
+        parity ^= q[i] < 0;
+        const int mag = std::abs(q[i]);
+        if (mag < min1) {
+          min2 = min1;
+          min1 = mag;
+        } else if (mag < min2) {
+          min2 = mag;
+        }
+      }
+      for (std::size_t i = 0; i < vars.size(); ++i) {
+        const int other = std::min(std::abs(q[i]) == min1 ? min2 : min1, 127);
+        const int mag = other * 26 / 32;
+        r[base + i] = parity != (q[i] < 0) ? -mag : mag;
+        posterior[vars[i]] = q[i] + r[base + i];
+      }
+    }
+    if (satisfied()) return DecodeResult{true, iter, hard_decision()};
+  }
+  return DecodeResult{false, max_iterations, hard_decision()};
+}
+
+// A frame's int8 prior for `code` at QBER q: Bob's noisy copy of x at the
+// quantized channel magnitude, or (`random_magnitudes`) at a uniform
+// magnitude in [0, 127] per position, so ties and rail values vary; plus
+// a few erased (0) and pinned (+-127) positions.
+std::vector<std::int8_t> random_prior(const LdpcCode& code, const BitVec& x,
+                                      double q, bool random_magnitudes,
+                                      Xoshiro256& rng) {
+  const std::int8_t channel = quantize_llr(bsc_llr(q));
+  std::vector<std::int8_t> prior(code.n());
+  for (std::size_t v = 0; v < code.n(); ++v) {
+    const bool bit = x.get(v) != rng.bernoulli(q);
+    const auto mag = random_magnitudes
+                         ? static_cast<std::int8_t>(rng.uniform(128))
+                         : channel;
+    prior[v] = static_cast<std::int8_t>(bit ? -mag : mag);
+    const double u = rng.next_double();
+    if (u < 0.05) prior[v] = 0;
+    if (u > 0.97) prior[v] = x.get(v) ? -127 : 127;
+  }
+  return prior;
+}
+
+// The lane kernel must agree with the scalar reference frame by frame -
+// converged flag, iteration count and word - on every instruction-set
+// build the host runs, at 30 seeded PEG shapes: n from 65 to 4095 (never
+// a multiple of 64), regular and 2-3-degree irregular profiles, rates 0.3
+// to 0.85, batch sizes 1 to 64 (every lane width, pad lanes included) and
+// caps of 1 to 20 iterations (the reconcile stage caps at 20). One more
+// shape has degree-1 checks, whose min2 stays unset: the corner the
+// per-check normalization must clamp before it scales, which no table
+// code reaches.
+TEST(LaneKernel, MatchesScalarReferenceAtRandomShapes) {
+  struct Shape {
+    std::size_t n;
+    std::size_t m;
+    DegreeProfile profile;
+  };
+  Xoshiro256 rng(2024);
+  std::vector<Shape> shapes;
+  for (int k = 0; k < 30; ++k) {
+    std::size_t n = 0;
+    while (n % 64 == 0) {
+      // Log-uniform over [64, 4096]: most shapes small, a few near 4096.
+      n = static_cast<std::size_t>(64.0 * std::exp2(6.0 * rng.next_double()));
+      n = std::min<std::size_t>(n, 4095);
+    }
+    const double rate = 0.3 + 0.55 * rng.next_double();
+    const auto m = static_cast<std::size_t>(static_cast<double>(n) *
+                                            (1.0 - rate));
+    const double low = 0.2 + 0.6 * rng.next_double();
+    shapes.push_back(Shape{
+        n, m,
+        k % 3 == 0 ? DegreeProfile::regular(3)
+        : k % 3 == 1 ? DegreeProfile{{{2, low}, {3, 1.0 - low}}}
+                     : DegreeProfile::regular(2)});
+  }
+  shapes.push_back(Shape{200, 180, DegreeProfile{{{1, 0.6}, {2, 0.4}}}});
+
+  std::size_t compared = 0;
+  std::size_t converged = 0;
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    const Shape& shape = shapes[k];
+    const LdpcCode code = LdpcCode::peg(shape.n, shape.m, shape.profile, k);
+    bool has_degree_one = false;
+    for (std::size_t c = 0; c < code.m(); ++c) {
+      has_degree_one |= code.check_vars(c).size() == 1;
+    }
+    if (k + 1 == shapes.size()) {
+      ASSERT_TRUE(has_degree_one) << "the corner shape has no degree-1 check";
+    }
+    const std::size_t batch = 1 + rng.uniform(64);
+    DecoderConfig config;
+    config.max_iterations = 1 + static_cast<unsigned>(rng.uniform(20));
+    std::vector<BitVec> syndromes;
+    std::vector<std::vector<std::int8_t>> priors;
+    std::vector<QuantDecodeJob> jobs(batch);
+    std::vector<DecodeResult> expected;
+    for (std::size_t j = 0; j < batch; ++j) {
+      const BitVec x = rng.random_bits(code.n());
+      syndromes.push_back(code.syndrome(x));
+      const double q = 0.005 + 0.095 * rng.next_double();
+      priors.push_back(random_prior(code, x, q, j % 3 == 2, rng));
+    }
+    for (std::size_t j = 0; j < batch; ++j) {
+      jobs[j] = QuantDecodeJob{&syndromes[j], &priors[j]};
+      expected.push_back(scalar_reference_decode(
+          code, syndromes[j], priors[j], config.max_iterations));
+      converged += expected.back().converged ? 1 : 0;
+    }
+    for (const detail::MinSumIsa isa :
+         {detail::MinSumIsa::kPortable, detail::MinSumIsa::kAvx2}) {
+      if (!detail::min_sum_isa_available(isa)) continue;
+      std::vector<DecodeResult> results;
+      detail::decode_syndrome_batch_on(isa, code, jobs, config, results);
+      ASSERT_EQ(results.size(), batch);
+      for (std::size_t j = 0; j < batch; ++j) {
+        SCOPED_TRACE(isa_name(isa) + " shape " + std::to_string(k) + " (n " +
+                     std::to_string(code.n()) + ", m " +
+                     std::to_string(code.m()) + ", batch " +
+                     std::to_string(batch) + ") frame " + std::to_string(j));
+        EXPECT_EQ(results[j].converged, expected[j].converged);
+        EXPECT_EQ(results[j].iterations, expected[j].iterations);
+        EXPECT_EQ(results[j].word, expected[j].word);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 500u);
+  // The shapes must exercise both outcomes, not only easy frames.
+  EXPECT_GT(converged, 0u);
+  EXPECT_LT(converged, compared);
+}
 
 // --- key-level equivalence over a (seed, QBER) grid ---------------------
 

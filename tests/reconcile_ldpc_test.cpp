@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/entropy.hpp"
@@ -195,6 +197,100 @@ TEST(RateAdapt, PartitionIsExactAndDeterministic) {
 
 TEST(RateAdapt, OverBudgetThrows) {
   EXPECT_THROW(derive_adaptation(100, 80, 30, 1), std::invalid_argument);
+}
+
+// Test oracle, not a production path: the partition by sorting - the
+// same shuffle as derive_adaptation, each class's prefix of it sorted, and
+// the payload collected through a byte map.
+RateAdaptation sort_reference_adaptation(std::size_t n,
+                                         std::uint32_t n_punctured,
+                                         std::uint32_t n_shortened,
+                                         std::uint64_t seed) {
+  Xoshiro256 rng(seed ^ 0xada97ca7104eULL);
+  const auto perm = rng.permutation(n);
+  RateAdaptation adaptation;
+  adaptation.punctured.assign(perm.begin(), perm.begin() + n_punctured);
+  adaptation.shortened.assign(perm.begin() + n_punctured,
+                              perm.begin() + n_punctured + n_shortened);
+  std::sort(adaptation.punctured.begin(), adaptation.punctured.end());
+  std::sort(adaptation.shortened.begin(), adaptation.shortened.end());
+  std::vector<std::uint8_t> special(n, 0);
+  for (const auto p : adaptation.punctured) special[p] = 1;
+  for (const auto s : adaptation.shortened) special[s] = 1;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (!special[v]) adaptation.payload.push_back(v);
+  }
+  return adaptation;
+}
+
+void expect_partition_matches_reference(std::size_t n, std::uint32_t d,
+                                        std::uint32_t s, std::uint64_t seed) {
+  const RateAdaptation got = derive_adaptation(n, d, s, seed);
+  const RateAdaptation want = sort_reference_adaptation(n, d, s, seed);
+  EXPECT_EQ(got.punctured, want.punctured)
+      << "n=" << n << " d=" << d << " s=" << s << " seed=" << seed;
+  EXPECT_EQ(got.shortened, want.shortened)
+      << "n=" << n << " d=" << d << " s=" << s << " seed=" << seed;
+  EXPECT_EQ(got.payload, want.payload)
+      << "n=" << n << " d=" << d << " s=" << s << " seed=" << seed;
+}
+
+// The bitmap read-back must give the sort reference's three lists: at
+// frame lengths with and without a partial tail word (which pins the
+// payload scan's tail mask), with d and s at zero, small, at the 10%
+// budget and filling the whole frame; then at every table code's shape
+// for QBER 1-5% as plan_frame_batched sizes it.
+TEST(RateAdapt, PartitionMatchesSortReference) {
+  for (const std::size_t n : {1000, 4095, 4096, 16384}) {
+    const auto all = static_cast<std::uint32_t>(n);
+    const std::uint32_t budget = all / 10;
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+        {0, 0},        {0, 3},
+        {5, 0},        {7, 11},
+        {budget, 0},   {0, budget},
+        {budget / 3, budget - budget / 3},
+        {all, 0},      {0, all},
+        {all / 2, all - all / 2},
+        {all - 1, 1}};
+    for (const auto& [d, s] : shapes) {
+      for (const std::uint64_t seed : {1ULL, 2ULL, 0x9e3779b97f4a7c15ULL}) {
+        expect_partition_matches_reference(n, d, s, seed);
+      }
+    }
+  }
+
+  const LdpcReconcilerConfig config;
+  std::size_t planner_agrees = 0;
+  for (const CodeSpec& spec : code_table()) {
+    const LdpcCode& code = code_by_id(spec.id);
+    const std::size_t n = code.n();
+    const auto budget = static_cast<std::uint32_t>(config.adapt_fraction *
+                                                   static_cast<double>(n));
+    for (const double q : {0.01, 0.02, 0.03, 0.04, 0.05}) {
+      // plan_frame_batched's (d, s) for this code: the syndrome minus the
+      // punctured bits discloses f_target * penalty(n) * h2(q) per payload
+      // bit, with d clamped into the budget and the rest of it shortened.
+      const double ideal_d =
+          static_cast<double>(code.m()) -
+          config.f_target * finite_length_penalty(n) * binary_entropy(q) *
+              static_cast<double>(n - budget);
+      const auto d = static_cast<std::uint32_t>(
+          std::clamp(ideal_d, 0.0, static_cast<double>(budget)));
+      // Where the planner picks this code, its shape must be this one.
+      const FramePlan picked =
+          plan_frame_batched(16 * 4096, q, config.f_target);
+      if (picked.code_id == spec.id) {
+        EXPECT_EQ(picked.n_punctured, d) << "code " << spec.id << " q=" << q;
+        EXPECT_EQ(picked.n_shortened, budget - d)
+            << "code " << spec.id << " q=" << q;
+        ++planner_agrees;
+      }
+      const std::uint64_t seed = 1000 * std::uint64_t{spec.id} +
+                                 static_cast<std::uint64_t>(q * 100);
+      expect_partition_matches_reference(n, d, budget - d, seed);
+    }
+  }
+  EXPECT_EQ(planner_agrees, 5u) << "one planner pick per QBER";
 }
 
 TEST(RateAdapt, PlanHitsEfficiencyTarget) {
