@@ -26,8 +26,8 @@ engine::BlockInput simulate_block(std::uint64_t block_id, std::uint64_t seed) {
   sim::LinkConfig link;
   link.channel.length_km = 25.0;
   Xoshiro256 rng(seed);
-  const auto record = sim::Bb84Simulator(link).run(1 << 19, rng);
-  return engine::make_block_input(record, block_id);
+  return engine::make_block_input(sim::Bb84Simulator(link).run(1 << 19, rng),
+                                  block_id);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ int main() {
 
     protocol::AliceTransmitLog alice_log{record.alice_bits,
                                          record.alice_bases,
-                                         record.alice_class};
+                                         record.alice_signal};
     pipeline::BobDetections bob_view;
     bob_view.block_id = block;
     bob_view.n_pulses = record.n_pulses;

@@ -29,8 +29,8 @@ int main() {
 
   // --- the quantum layer: one block of raw detections ----------------------
   Xoshiro256 rng(/*seed=*/2024);
-  const auto record = sim::Bb84Simulator(link).run(1 << 20, rng);
-  const engine::BlockInput input = engine::make_block_input(record, 1);
+  const engine::BlockInput input =
+      engine::make_block_input(sim::Bb84Simulator(link).run(1 << 20, rng), 1);
 
   // --- the post-processing engine: mapper-placed stage chain ---------------
   engine::PostprocessParams params;

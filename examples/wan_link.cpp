@@ -24,7 +24,7 @@ int main() {
   const auto record = sim::Bb84Simulator(link).run(1 << 20, link_rng);
 
   protocol::AliceTransmitLog alice_log{record.alice_bits, record.alice_bases,
-                                       record.alice_class};
+                                       record.alice_signal};
   pipeline::BobDetections bob_view;
   bob_view.block_id = 1;
   bob_view.n_pulses = record.n_pulses;

@@ -3,10 +3,12 @@
 #include <bit>
 #include <algorithm>
 
+#include "common/bitvec_isa.hpp"
 #include "common/error.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define QKDPP_X86_BMI2 1
+#define QKDPP_X86_AVX2 1
 #include <immintrin.h>
 #endif
 
@@ -77,7 +79,101 @@ inline std::uint64_t deposit_bits(std::uint64_t w, std::uint64_t m) noexcept {
 
 #endif  // QKDPP_X86_BMI2
 
+// Gather bodies. Both fill out[first / 64 ...] with the source bits at
+// positions[first ...], each output word built in a register. The AVX2
+// body takes the whole output words and the portable loop the rest (all of
+// them where AVX2 is missing).
+
+void gather_words_portable(const std::uint64_t* source,
+                           std::span<const std::uint32_t> positions,
+                           std::size_t first, std::uint64_t* out) noexcept {
+  for (std::size_t base = first; base < positions.size(); base += 64) {
+    const std::size_t lim = std::min<std::size_t>(64, positions.size() - base);
+    std::uint64_t acc = 0;
+    for (std::size_t k = 0; k < lim; ++k) {
+      const std::uint32_t p = positions[base + k];
+      acc |= ((source[p >> 6] >> (p & 63)) & 1u) << k;
+    }
+    out[base >> 6] = acc;
+  }
+}
+
+#ifdef QKDPP_X86_AVX2
+
+// Eight positions per step: vpgatherdd loads the 32-bit source word at
+// pos >> 5 (the words are little-endian, so 32-bit word j holds bits
+// [32j, 32j + 32)), vpsllvd shifts the wanted bit up to the sign position,
+// and movemask collects the eight sign bits. Returns how many positions
+// it consumed: every whole output word's worth.
+__attribute__((target("avx2"))) std::size_t gather_words_avx2(
+    const std::uint64_t* source, std::span<const std::uint32_t> positions,
+    std::uint64_t* out) noexcept {
+  const std::size_t whole = positions.size() & ~std::size_t{63};
+  const auto* halves = reinterpret_cast<const int*>(source);
+  const __m256i low5 = _mm256_set1_epi32(31);
+  for (std::size_t base = 0; base < whole; base += 64) {
+    std::uint64_t acc = 0;
+    for (std::size_t k = 0; k < 64; k += 8) {
+      const __m256i pos = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(positions.data() + base + k));
+      const __m256i word =
+          _mm256_i32gather_epi32(halves, _mm256_srli_epi32(pos, 5), 4);
+      // Shift left by 31 - (pos & 31), which is ~pos & 31.
+      const __m256i top =
+          _mm256_sllv_epi32(word, _mm256_andnot_si256(pos, low5));
+      const auto signs = static_cast<unsigned>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(top)));
+      acc |= std::uint64_t{signs} << k;
+    }
+    out[base >> 6] = acc;
+  }
+  return whole;
+}
+
+const bool g_has_avx2 = __builtin_cpu_supports("avx2") != 0;
+
+#endif  // QKDPP_X86_AVX2
+
+void gather_words(detail::GatherIsa isa, const std::uint64_t* source,
+                  std::span<const std::uint32_t> positions,
+                  std::uint64_t* out) noexcept {
+  std::size_t done = 0;
+#ifdef QKDPP_X86_AVX2
+  if (isa == detail::GatherIsa::kAvx2) {
+    done = gather_words_avx2(source, positions, out);
+  }
+#endif
+  gather_words_portable(source, positions, done, out);
+}
+
+/// The widest gather body this CPU executes, picked once at startup.
+const detail::GatherIsa g_gather_isa =
+    detail::gather_isa_available(detail::GatherIsa::kAvx2)
+        ? detail::GatherIsa::kAvx2
+        : detail::GatherIsa::kPortable;
+
 }  // namespace
+
+namespace detail {
+
+bool gather_isa_available(GatherIsa isa) noexcept {
+#ifdef QKDPP_X86_AVX2
+  if (isa == GatherIsa::kAvx2) return g_has_avx2;
+#endif
+  return isa == GatherIsa::kPortable;
+}
+
+BitVec gather_on(GatherIsa isa, const BitVec& source,
+                 std::span<const std::uint32_t> positions) {
+  QKDPP_REQUIRE(gather_isa_available(isa),
+                "gather body not available on this CPU");
+  BitVec out(positions.size());
+  gather_words(isa, source.words().data(), positions,
+               out.mutable_words().data());
+  return out;
+}
+
+}  // namespace detail
 
 BitVec::BitVec(std::size_t nbits, bool value)
     : nbits_(nbits),
@@ -235,16 +331,7 @@ void BitVec::append(const BitVec& other) {
 
 BitVec BitVec::gather(std::span<const std::uint32_t> positions) const {
   BitVec out(positions.size());
-  // Accumulate each output word in a register; the source reads stay
-  // irregular but the writes become one store per 64 bits.
-  for (std::size_t base = 0; base < positions.size(); base += 64) {
-    const std::size_t lim = std::min<std::size_t>(64, positions.size() - base);
-    std::uint64_t acc = 0;
-    for (std::size_t k = 0; k < lim; ++k) {
-      acc |= std::uint64_t{get(positions[base + k])} << k;
-    }
-    out.words_[base >> 6] = acc;
-  }
+  gather_words(g_gather_isa, words_.data(), positions, out.words_.data());
   return out;
 }
 

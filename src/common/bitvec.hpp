@@ -84,6 +84,8 @@ class BitVec {
   void append(const BitVec& other);
 
   /// Gather bits at the given positions (in order) into a new vector.
+  /// Requires every position < size(). (AVX2 gathers eight positions per
+  /// step when the CPU has it, portable bit loop otherwise.)
   BitVec gather(std::span<const std::uint32_t> positions) const;
 
   /// Word-level compress: the bits at positions where `mask` is set, in

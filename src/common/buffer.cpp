@@ -54,7 +54,7 @@ void ByteWriter::put_u32_vec(std::span<const std::uint32_t> v) {
 }
 
 void ByteReader::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) {
+  if (n > remaining()) {
     throw_error(ErrorCode::kSerialization, "truncated frame");
   }
 }
@@ -127,19 +127,22 @@ std::string ByteReader::get_string() {
   return {bytes.begin(), bytes.end()};
 }
 
+// The lengths below come off the wire: compare them against what the frame
+// can hold instead of scaling them, so no hostile value can wrap past the
+// check.
+
 BitVec ByteReader::get_bitvec() {
   const std::uint64_t nbits = get_varint();
-  const std::size_t nbytes = static_cast<std::size_t>((nbits + 7) / 8);
-  if (nbytes > remaining()) {
+  if (nbits > std::uint64_t{remaining()} * 8) {
     throw_error(ErrorCode::kSerialization, "bitvec length exceeds frame");
   }
-  const auto bytes = get_bytes(nbytes);
+  const auto bytes = get_bytes(static_cast<std::size_t>((nbits + 7) / 8));
   return BitVec::from_bytes(bytes, static_cast<std::size_t>(nbits));
 }
 
 std::vector<std::uint32_t> ByteReader::get_u32_vec() {
   const std::uint64_t n = get_varint();
-  if (n * 4 > remaining()) {
+  if (n > remaining() / 4) {
     throw_error(ErrorCode::kSerialization, "u32 vector exceeds frame");
   }
   std::vector<std::uint32_t> out;

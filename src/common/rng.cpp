@@ -101,10 +101,19 @@ BitVec Xoshiro256::random_bits(std::size_t nbits) noexcept {
 }
 
 std::vector<std::uint32_t> Xoshiro256::permutation(std::size_t n) noexcept {
-  std::vector<std::uint32_t> p(n);
-  std::iota(p.begin(), p.end(), 0u);
-  shuffle(std::span<std::uint32_t>(p));
+  std::vector<std::uint32_t> p;
+  permutation(n, p);
   return p;
+}
+
+// Instantiates shuffle here, beside uniform() and next_u64(), so the
+// compiler can inline them into the loop: a shuffle instantiated in another
+// translation unit calls uniform() once per element and ran up to twice as
+// slow on a 35k-element Cascade permutation.
+void Xoshiro256::permutation(std::size_t n, std::vector<std::uint32_t>& out) {
+  out.resize(n);
+  std::iota(out.begin(), out.end(), 0u);
+  shuffle(std::span<std::uint32_t>(out));
 }
 
 std::vector<std::uint32_t> Xoshiro256::sample_without_replacement(

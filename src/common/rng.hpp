@@ -53,6 +53,8 @@ class Xoshiro256 {
 
   /// The identity permutation on n elements, shuffled.
   std::vector<std::uint32_t> permutation(std::size_t n) noexcept;
+  /// permutation(n) into `out`, reusing its capacity (same draws).
+  void permutation(std::size_t n, std::vector<std::uint32_t>& out);
 
   /// k distinct indices from [0, n), sorted ascending (rejection against a
   /// hash set for small k, partial Fisher-Yates otherwise).

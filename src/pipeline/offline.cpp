@@ -20,11 +20,11 @@ BlockOutcome OfflinePipeline::process_block(std::uint64_t block_id,
                                             Xoshiro256& rng) {
   // --- link simulation (the "hardware"; timed separately) ----------------
   Stopwatch stopwatch;
-  const sim::DetectionRecord record =
-      simulator_.run(config_.pulses_per_block, rng);
+  sim::DetectionRecord record = simulator_.run(config_.pulses_per_block, rng);
   const double simulate_seconds = stopwatch.seconds();
 
-  const engine::BlockInput input = engine::make_block_input(record, block_id);
+  const engine::BlockInput input =
+      engine::make_block_input(std::move(record), block_id);
   BlockOutcome outcome = engine_->process_block(input, block_id, rng);
   outcome.timings.simulate = simulate_seconds;
   return outcome;

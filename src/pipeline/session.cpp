@@ -480,7 +480,7 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       if (frames == 0) {
         throw_error(ErrorCode::kProtocol, "frame plan larger than key");
       }
-      std::vector<std::uint64_t> frame_seeds;
+      std::vector<reconcile::RateAdaptation> adaptations;
       std::vector<BitVec> syndromes;
       for (std::size_t f = 0; f < frames; ++f) {
         ReconcileStart start =
@@ -495,12 +495,13 @@ SessionResult run_bob_session(ClassicalChannel& channel,
         if (start.syndrome.size() != code.m()) {
           throw_error(ErrorCode::kProtocol, "syndrome length mismatch");
         }
-        frame_seeds.push_back(start.perm_seed);
+        adaptations.push_back(reconcile::derive_adaptation(
+            code.n(), plan.n_punctured, plan.n_shortened, start.perm_seed));
         syndromes.push_back(std::move(start.syndrome));
       }
       RemoteRevealOracle oracle(channel, block_id, code.n());
       const auto stats = reconcile::ldpc_decode_block(
-          key, qber, plan, frame_seeds, syndromes, config.ldpc, oracle,
+          key, qber, plan, adaptations, syndromes, config.ldpc, oracle,
           /*arena=*/nullptr, reconciled);
       result.leak_ec_bits += stats.leaked_bits;
       converged = stats.converged;

@@ -1,6 +1,7 @@
 #include "protocol/sifting.hpp"
 
-#include <algorithm>
+#include <cstdint>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -9,7 +10,7 @@ namespace qkdpp::protocol {
 AliceSiftOutcome sift_alice(const AliceTransmitLog& log,
                             const DetectionReport& report) {
   const std::size_t n_pulses = log.bits.size();
-  if (log.bases.size() != n_pulses || log.pulse_class.size() != n_pulses) {
+  if (log.bases.size() != n_pulses || log.signal.size() != n_pulses) {
     throw_error(ErrorCode::kProtocol, "inconsistent transmit log");
   }
   const std::size_t n_detected = report.detected_idx.size();
@@ -18,46 +19,42 @@ AliceSiftOutcome sift_alice(const AliceTransmitLog& log,
                 "detection report bases/indices shape mismatch");
   }
 
-  AliceSiftOutcome out;
-  out.result.block_id = report.block_id;
-  out.result.keep_mask = BitVec(n_detected);
-  // Alice's bit and signal flag at every detection, one word per 64
-  // detections; the keep mask then compresses both at once.
-  BitVec detected_bits(n_detected);
-  BitVec detected_signal(n_detected);
-  const auto keep = out.result.keep_mask.mutable_words();
-  const auto bits = detected_bits.mutable_words();
-  const auto signal = detected_signal.mutable_words();
-  const auto bob_bases = report.bob_bases.words();
-
-  std::uint32_t previous = 0;
-  for (std::size_t base = 0; base < n_detected; base += 64) {
-    const std::size_t lim = std::min<std::size_t>(64, n_detected - base);
-    std::uint64_t basis_word = 0;
-    std::uint64_t bit_word = 0;
-    std::uint64_t signal_word = 0;
-    for (std::size_t k = 0; k < lim; ++k) {
-      const std::uint32_t pulse = report.detected_idx[base + k];
-      if (pulse >= n_pulses) {
+  // The indices come off the wire: every one must name a pulse, in
+  // strictly increasing order, so it is enough that they increase and the
+  // last is in range. One branch-free pass checks that; only a bad report
+  // walks them again to raise the first offence's error.
+  const std::span<const std::uint32_t> idx = report.detected_idx;
+  bool increasing = true;
+  for (std::size_t d = 1; d < n_detected; ++d) {
+    increasing &= idx[d] > idx[d - 1];
+  }
+  if (!increasing || (n_detected != 0 && idx.back() >= n_pulses)) {
+    for (std::size_t d = 0; d < n_detected; ++d) {
+      if (idx[d] >= n_pulses) {
         throw_error(ErrorCode::kProtocol, "detection index out of range");
       }
-      if (base + k != 0 && pulse <= previous) {
+      if (d != 0 && idx[d] <= idx[d - 1]) {
         throw_error(ErrorCode::kProtocol, "detection indices not increasing");
       }
-      previous = pulse;
-      basis_word |= std::uint64_t{log.bases.get(pulse)} << k;
-      bit_word |= std::uint64_t{log.bits.get(pulse)} << k;
-      signal_word |= std::uint64_t{log.pulse_class[pulse] == 0} << k;
     }
-    const std::uint64_t live =
-        lim == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lim) - 1;
-    const std::size_t w = base >> 6;
-    keep[w] = ~(basis_word ^ bob_bases[w]) & live;
-    bits[w] = bit_word;
-    signal[w] = signal_word;
   }
-  out.sifted_key = detected_bits.select(out.result.keep_mask);
-  out.result.signal_mask = detected_signal.select(out.result.keep_mask);
+
+  // Alice's basis, bit and signal flag at every detection; the keep mask
+  // (bases equal) then compresses the bits and flags at once.
+  AliceSiftOutcome out;
+  out.result.block_id = report.block_id;
+  out.result.keep_mask = log.bases.gather(idx);
+  const auto keep = out.result.keep_mask.mutable_words();
+  const auto bob_bases = report.bob_bases.words();
+  for (std::size_t w = 0; w < keep.size(); ++w) {
+    keep[w] = ~(keep[w] ^ bob_bases[w]);
+  }
+  if (n_detected % 64 != 0) {
+    keep.back() &= (std::uint64_t{1} << (n_detected % 64)) - 1;
+  }
+  out.sifted_key = log.bits.gather(idx).select(out.result.keep_mask);
+  out.result.signal_mask =
+      log.signal.gather(idx).select(out.result.keep_mask);
   return out;
 }
 

@@ -6,19 +6,17 @@
 // are estimation material, never key material.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "common/bitvec.hpp"
 #include "protocol/messages.hpp"
 
 namespace qkdpp::protocol {
 
-/// Alice's transmit-side log (what a real transmitter retains per pulse).
+/// Alice's transmit-side log (what a real transmitter retains per pulse):
+/// one bit per pulse in each vector.
 struct AliceTransmitLog {
   BitVec bits;
   BitVec bases;
-  std::vector<std::uint8_t> pulse_class;  ///< sim::PulseClass values
+  BitVec signal;  ///< 1 = signal-intensity pulse, 0 = decoy or vacuum
 };
 
 /// Alice-side sifting outcome.

@@ -23,6 +23,16 @@ std::uint32_t cascade_block_size(double qber, std::uint32_t cap) {
 
 namespace {
 
+/// The inverse permutations (4 bytes per key bit and pass), sized by the
+/// largest run on this thread and reused across runs: an engine reconciles
+/// block after block on one thread, and ~1 MB freed and reallocated every
+/// block can go back to the OS (glibc trims a free heap top above its
+/// threshold) and be page-faulted in again.
+std::vector<std::vector<std::uint32_t>>& tls_inverse_permutations() {
+  thread_local std::vector<std::vector<std::uint32_t>> inverse;
+  return inverse;
+}
+
 /// Bob-side working state for one Cascade run.
 class CascadeEngine {
  public:
@@ -33,7 +43,8 @@ class CascadeEngine {
         oracle_(oracle),
         config_(config),
         perm_(permutations),
-        n_(key.size()) {
+        n_(key.size()),
+        inv_(tls_inverse_permutations()) {
     QKDPP_REQUIRE(n_ > 0, "cascade on empty key");
     QKDPP_REQUIRE(perm_.size() >= config.passes,
                   "fewer permutations than cascade passes");
@@ -198,7 +209,9 @@ class CascadeEngine {
   std::vector<std::uint32_t> block_size_;
   /// Per started pass: the key as permuted for it, kept in step with key_.
   std::vector<BitVec> permuted_;
-  std::vector<std::vector<std::uint32_t>> inv_;
+  /// Entries of passes not yet started hold a previous run's data and are
+  /// never read.
+  std::vector<std::vector<std::uint32_t>>& inv_;
   std::vector<std::vector<std::uint8_t>> odd_;
   CascadeResult result_;
   std::size_t corrected_ = 0;

@@ -1,34 +1,53 @@
 #include "reconcile/parity_oracle.hpp"
 
+#include <numeric>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace qkdpp::reconcile {
 
-std::vector<std::uint32_t> cascade_permutation(std::size_t n,
-                                               std::uint64_t seed,
-                                               std::uint32_t pass) {
+namespace {
+
+/// cascade_permutation into `perm`, reusing its capacity.
+void fill_cascade_permutation(std::size_t n, std::uint64_t seed,
+                              std::uint32_t pass,
+                              std::vector<std::uint32_t>& perm) {
   if (pass == 0) {
-    std::vector<std::uint32_t> identity(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      identity[i] = static_cast<std::uint32_t>(i);
-    }
-    return identity;
+    perm.resize(n);
+    std::iota(perm.begin(), perm.end(), 0u);
+    return;
   }
   // Mix the pass into the seed (splitmix-style odd constants) so passes are
   // independent permutations.
   Xoshiro256 rng(seed ^ (0x9e3779b97f4a7c15ULL * (pass + 1)));
-  return rng.permutation(n);
+  rng.permutation(n, perm);
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> cascade_permutation(std::size_t n,
+                                               std::uint64_t seed,
+                                               std::uint32_t pass) {
+  std::vector<std::uint32_t> perm;
+  fill_cascade_permutation(n, seed, pass, perm);
+  return perm;
 }
 
 CascadePermutations cascade_permutations(std::size_t n, std::uint64_t seed,
                                          std::uint32_t passes) {
   CascadePermutations permutations;
-  permutations.reserve(passes);
-  for (std::uint32_t pass = 0; pass < passes; ++pass) {
-    permutations.push_back(cascade_permutation(n, seed, pass));
-  }
+  fill_cascade_permutations(n, seed, passes, permutations);
   return permutations;
+}
+
+void fill_cascade_permutations(std::size_t n, std::uint64_t seed,
+                               std::uint32_t passes,
+                               CascadePermutations& out) {
+  out.resize(passes);
+  for (std::uint32_t pass = 0; pass < passes; ++pass) {
+    fill_cascade_permutation(n, seed, pass, out[pass]);
+  }
 }
 
 CascadeResponder::CascadeResponder(

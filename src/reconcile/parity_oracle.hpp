@@ -81,6 +81,11 @@ std::vector<std::uint32_t> cascade_permutation(std::size_t n,
 CascadePermutations cascade_permutations(std::size_t n, std::uint64_t seed,
                                          std::uint32_t passes);
 
+/// cascade_permutations into `out`, reusing the capacity of its vectors: a
+/// caller that reconciles one key after another keeps `out` between them.
+void fill_cascade_permutations(std::size_t n, std::uint64_t seed,
+                               std::uint32_t passes, CascadePermutations& out);
+
 /// In-process oracle with exact accounting (used by tests and benches).
 class LocalParityOracle final : public ParityOracle {
  public:

@@ -10,25 +10,29 @@
 
 namespace qkdpp::reconcile {
 
-LdpcFrameSender::LdpcFrameSender(const FramePlan& plan, const BitVec& payload,
-                                 std::uint64_t frame_seed,
-                                 Xoshiro256& private_rng) {
+LdpcFrameSender::LdpcFrameSender(const FramePlan& plan,
+                                 const RateAdaptation& adaptation,
+                                 const BitVec& payload,
+                                 Xoshiro256& private_rng)
+    : adaptation_(&adaptation) {
   const LdpcCode& code = code_by_id(plan.code_id);
   QKDPP_REQUIRE(payload.size() == plan.payload_bits,
                 "payload does not match frame plan");
-  adaptation_ = derive_adaptation(code.n(), plan.n_punctured,
-                                  plan.n_shortened, frame_seed);
+  QKDPP_REQUIRE(adaptation.payload.size() == plan.payload_bits &&
+                    adaptation.punctured.size() == plan.n_punctured &&
+                    adaptation.shortened.size() == plan.n_shortened,
+                "adaptation does not match frame plan");
   frame_ = BitVec(code.n());
   const std::span<std::uint64_t> words = frame_.mutable_words();
   const auto put = [&words](std::uint32_t position, bool value) {
     words[position >> 6] |= std::uint64_t{value} << (position & 63);
   };
-  for (std::size_t i = 0; i < adaptation_.payload.size(); ++i) {
-    put(adaptation_.payload[i], payload.get(i));
+  for (std::size_t i = 0; i < adaptation.payload.size(); ++i) {
+    put(adaptation.payload[i], payload.get(i));
   }
   // Punctured positions carry the sender's *private* randomness - never
   // transmitted, unknown to Eve; shortened positions stay 0.
-  for (const auto p : adaptation_.punctured) put(p, private_rng.bernoulli(0.5));
+  for (const auto p : adaptation.punctured) put(p, private_rng.bernoulli(0.5));
   syndrome_ = code.syndrome(frame_);
 }
 
@@ -36,13 +40,14 @@ BlindReveal LdpcFrameSender::reveal_chunk(unsigned round,
                                           unsigned max_rounds) const {
   QKDPP_REQUIRE(round >= 1, "blind rounds are 1-based");
   BlindReveal reveal;
-  const std::size_t total = adaptation_.punctured.size();
+  const std::vector<std::uint32_t>& punctured = adaptation_->punctured;
+  const std::size_t total = punctured.size();
   if (total == 0 || max_rounds == 0) return reveal;
   const std::size_t chunk = (total + max_rounds - 1) / max_rounds;
   const std::size_t begin = std::min(total, chunk * (round - 1));
   const std::size_t end = std::min(total, begin + chunk);
   for (std::size_t i = begin; i < end; ++i) {
-    const std::uint32_t position = adaptation_.punctured[i];
+    const std::uint32_t position = punctured[i];
     reveal.positions.push_back(position);
     reveal.values.push_back(frame_.get(position));
   }
@@ -78,13 +83,19 @@ LdpcResponder::LdpcResponder(const BitVec& alice_key, const FramePlan& plan,
   const std::size_t frames = frame_seeds.size();
   QKDPP_REQUIRE(frames * plan.payload_bits <= alice_key.size(),
                 "frames exceed key length");
+  const std::size_t n = code_by_id(plan.code_id).n();
   BitVec local_payload;
   BitVec& payload = arena != nullptr ? arena->scratch_bits() : local_payload;
+  // Each sender points at its partition in adaptations_, so it is reserved
+  // once and never reallocates.
+  adaptations_.reserve(frames);
   senders_.reserve(frames);
   syndromes_.reserve(frames);
   for (std::size_t f = 0; f < frames; ++f) {
+    adaptations_.push_back(derive_adaptation(n, plan.n_punctured,
+                                             plan.n_shortened, frame_seeds[f]));
     alice_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
-    senders_.emplace_back(plan, payload, frame_seeds[f], private_rng);
+    senders_.emplace_back(plan, adaptations_.back(), payload, private_rng);
     syndromes_.push_back(senders_.back().syndrome());
   }
 }
@@ -107,12 +118,12 @@ std::vector<BlindReveal> LdpcResponder::reveal(
 
 BatchReconcileStats ldpc_decode_block(
     const BitVec& bob_key, double qber, const FramePlan& plan,
-    std::span<const std::uint64_t> frame_seeds,
+    std::span<const RateAdaptation> adaptations,
     std::span<const BitVec> syndromes, const LdpcReconcilerConfig& config,
     RevealOracle& oracle, BlockArena* arena, BitVec& bob_out,
     std::vector<ReconcileOutcome>* per_frame) {
   const LdpcCode& code = code_by_id(plan.code_id);
-  const std::size_t frames = frame_seeds.size();
+  const std::size_t frames = adaptations.size();
   QKDPP_REQUIRE(syndromes.size() == frames, "one syndrome per frame");
   QKDPP_REQUIRE(frames * plan.payload_bits <= bob_key.size(),
                 "frames exceed key length");
@@ -143,12 +154,11 @@ BatchReconcileStats ldpc_decode_block(
     const int flip = -static_cast<int>(bit);
     return static_cast<std::int8_t>((magnitude ^ flip) - flip);
   };
-  std::vector<RateAdaptation> adaptations(frames);
   std::vector<std::vector<std::int8_t>> priors(frames);
   for (std::size_t f = 0; f < frames; ++f) {
+    QKDPP_REQUIRE(adaptations[f].payload.size() == plan.payload_bits,
+                  "adaptation does not match frame plan");
     bob_key.subvec_into(f * plan.payload_bits, plan.payload_bits, payload);
-    adaptations[f] = derive_adaptation(code.n(), plan.n_punctured,
-                                       plan.n_shortened, frame_seeds[f]);
     std::vector<std::int8_t>& prior = priors[f];
     prior.assign(code.n(), 0);
     const auto& positions = adaptations[f].payload;
@@ -279,9 +289,9 @@ BatchReconcileStats ldpc_reconcile_key_batch(
                 "batch keys must have equal length");
   LdpcResponder alice(alice_key, plan, frame_seeds, config.max_blind_rounds,
                       alice_private_rng, arena);
-  BatchReconcileStats stats =
-      ldpc_decode_block(bob_key, qber, plan, frame_seeds, alice.syndromes(),
-                        config, alice, arena, bob_out, per_frame);
+  BatchReconcileStats stats = ldpc_decode_block(
+      bob_key, qber, plan, alice.adaptations(), alice.syndromes(), config,
+      alice, arena, bob_out, per_frame);
   append_converged_frames(alice_key, plan.payload_bits, stats.converged,
                           alice_out);
   return stats;
@@ -292,9 +302,14 @@ ReconcileOutcome cascade_reconcile_local(const BitVec& alice_key,
                                          const CascadeConfig& config) {
   QKDPP_REQUIRE(alice_key.size() == bob_key.size(),
                 "cascade keys must have equal length");
-  // One set of permutations serves both sides.
-  const CascadePermutations permutations =
-      cascade_permutations(alice_key.size(), config.seed, config.passes);
+  // One set of permutations serves both sides. They stay with the thread,
+  // sized for the largest key it has reconciled, as cascade_reconcile's
+  // inverse permutations do: an engine runs block after block on it, and
+  // memory freed and reallocated every block can go back to the OS and be
+  // page-faulted in again.
+  thread_local CascadePermutations permutations;
+  fill_cascade_permutations(alice_key.size(), config.seed, config.passes,
+                            permutations);
   LocalParityOracle oracle(alice_key, permutations);
   BitVec corrected = bob_key;
   const CascadeResult result =

@@ -65,18 +65,24 @@ struct BlindReveal {
 /// private punctured randomness) so blind reveals can be served.
 class LdpcFrameSender {
  public:
-  /// `payload` must have exactly plan.payload_bits bits.
-  LdpcFrameSender(const FramePlan& plan, const BitVec& payload,
-                  std::uint64_t frame_seed, Xoshiro256& private_rng);
+  /// `adaptation` is the frame's partition: derive_adaptation over the
+  /// plan's code with the frame's seed. The sender keeps a pointer to it,
+  /// so it must outlive the sender. `payload` must have exactly
+  /// plan.payload_bits bits.
+  LdpcFrameSender(const FramePlan& plan, const RateAdaptation& adaptation,
+                  const BitVec& payload, Xoshiro256& private_rng);
+  LdpcFrameSender(const FramePlan&, RateAdaptation&&, const BitVec&,
+                  Xoshiro256&) = delete;
 
   const BitVec& syndrome() const noexcept { return syndrome_; }
 
   /// Serve blind round `round` (1-based): the values of the next chunk of
-  /// punctured positions. Empty when everything is already revealed.
+  /// the frame's punctured positions (its private bits, never payload).
+  /// Empty when everything is already revealed.
   BlindReveal reveal_chunk(unsigned round, unsigned max_rounds) const;
 
  private:
-  RateAdaptation adaptation_;
+  const RateAdaptation* adaptation_;
   BitVec frame_;
   BitVec syndrome_;
 };
@@ -135,9 +141,17 @@ class LdpcResponder final : public RevealOracle {
                 std::span<const std::uint64_t> frame_seeds,
                 unsigned max_blind_rounds, Xoshiro256& private_rng,
                 BlockArena* arena = nullptr);
+  /// A copy's senders would point into the source's partitions.
+  LdpcResponder(const LdpcResponder&) = delete;
+  LdpcResponder& operator=(const LdpcResponder&) = delete;
 
   std::size_t frames() const noexcept { return senders_.size(); }
   std::span<const BitVec> syndromes() const noexcept { return syndromes_; }
+  /// Each frame's partition, derived once from its seed; Bob's side of an
+  /// in-process exchange decodes on these same partitions.
+  std::span<const RateAdaptation> adaptations() const noexcept {
+    return adaptations_;
+  }
 
   /// Requires frame < frames() and round >= 1; callers serving untrusted
   /// requests check both first.
@@ -146,6 +160,7 @@ class LdpcResponder final : public RevealOracle {
       std::span<const RevealQuery> queries) override;
 
  private:
+  std::vector<RateAdaptation> adaptations_;
   std::vector<LdpcFrameSender> senders_;
   std::vector<BitVec> syndromes_;
   unsigned max_blind_rounds_;
@@ -162,9 +177,10 @@ struct BatchReconcileStats {
   std::uint64_t rounds = 0;          ///< protocol round-trips
 };
 
-/// Bob's half: decode frame_seeds.size() consecutive payload slices of
-/// `bob_key` against Alice's `syndromes` in lockstep. Each blind stage is
-/// one batch decode of every pending frame (attempts capped at
+/// Bob's half: decode adaptations.size() consecutive payload slices of
+/// `bob_key` against Alice's `syndromes` in lockstep; frame f's partition
+/// is adaptations[f] (derive_adaptation with the frame's seed). Each blind
+/// stage is one batch decode of every pending frame (attempts capped at
 /// kBlindAttemptIterations) and one `oracle` call for the failed frames'
 /// next reveal chunks. Converged frames' corrected payloads are appended to
 /// `bob_out` in frame order; failed frames' leakage still counts.
@@ -174,7 +190,7 @@ struct BatchReconcileStats {
 /// syndrome bits.
 BatchReconcileStats ldpc_decode_block(
     const BitVec& bob_key, double qber, const FramePlan& plan,
-    std::span<const std::uint64_t> frame_seeds,
+    std::span<const RateAdaptation> adaptations,
     std::span<const BitVec> syndromes, const LdpcReconcilerConfig& config,
     RevealOracle& oracle, BlockArena* arena, BitVec& bob_out,
     std::vector<ReconcileOutcome>* per_frame = nullptr);

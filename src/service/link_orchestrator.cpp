@@ -191,7 +191,7 @@ void LinkOrchestrator::apply_device_events(std::uint64_t block_index) {
 
 engine::BlockOutcome LinkOrchestrator::run_session_block(
     LinkState& state, std::uint64_t block_id, std::uint64_t block_index,
-    const sim::DetectionRecord& record, LinkReport& report) {
+    sim::DetectionRecord record, LinkReport& report) {
   const LinkSpec& spec = state.spec;
   const protocol::FaultProfile profile = spec.schedule.fault_profile_at(
       spec.channel_faults, block_index);
@@ -213,13 +213,15 @@ engine::BlockOutcome LinkOrchestrator::run_session_block(
                                         spec.channel_retry,
                                         block_seed(seed, block_id, 4));
 
-  const engine::BlockInput input = engine::make_block_input(record, block_id);
+  const protocol::AliceTransmitLog alice_log{std::move(record.alice_bits),
+                                             std::move(record.alice_bases),
+                                             std::move(record.alice_signal)};
   pipeline::BobDetections detections;
   detections.block_id = block_id;
-  detections.n_pulses = input.report.n_pulses;
-  detections.detected_idx = input.report.detected_idx;
-  detections.bits = input.bob_bits;
-  detections.bases = input.report.bob_bases;
+  detections.n_pulses = record.n_pulses;
+  detections.detected_idx = std::move(record.detected_idx);
+  detections.bits = std::move(record.bob_bits);
+  detections.bases = std::move(record.bob_bases);
 
   auto bob_future = std::async(std::launch::async, [&] {
     auto r = pipeline::run_bob_session(bob_channel, detections, spec.params);
@@ -233,7 +235,7 @@ engine::BlockOutcome LinkOrchestrator::run_session_block(
   // runs whatever the fault timing did to previous blocks.
   Xoshiro256 session_rng(block_seed(seed, block_id, 0));
   const pipeline::SessionResult alice = pipeline::run_alice_session(
-      alice_channel, input.log, block_id, spec.params, session_rng);
+      alice_channel, alice_log, block_id, spec.params, session_rng);
   alice_channel.close();
   const pipeline::SessionResult bob = bob_future.get();
 
@@ -353,10 +355,11 @@ void LinkOrchestrator::run_link(std::size_t i, LinkReport& report) {
     }
     engine::BlockOutcome outcome;
     if (state.spec.session_transport) {
-      outcome = run_session_block(state, block_id, b, record, report);
+      outcome =
+          run_session_block(state, block_id, b, std::move(record), report);
     } else {
       const engine::BlockInput input =
-          engine::make_block_input(record, block_id);
+          engine::make_block_input(std::move(record), block_id);
       outcome = state.engine->process_block(input, block_id, state.rng);
     }
     // Decode statistics accumulate for aborted blocks too - a failed block

@@ -330,7 +330,7 @@ class LinkOrchestrator {
   engine::BlockOutcome run_session_block(LinkState& state,
                                          std::uint64_t block_id,
                                          std::uint64_t block_index,
-                                         const sim::DetectionRecord& record,
+                                         sim::DetectionRecord record,
                                          LinkReport& report);
 
   OrchestratorConfig config_;

@@ -1,6 +1,7 @@
 #include "sim/bb84.hpp"
 
 #include <cmath>
+#include <span>
 
 namespace qkdpp::sim {
 
@@ -14,7 +15,10 @@ DetectionRecord Bb84Simulator::run(std::size_t n_pulses,
   record.n_pulses = n_pulses;
   record.alice_bits = rng.random_bits(n_pulses);
   record.alice_bases = rng.random_bits(n_pulses);
-  record.alice_class.resize(n_pulses);
+  record.alice_signal = BitVec(n_pulses);
+  record.alice_decoy = BitVec(n_pulses);
+  const std::span<std::uint64_t> signal = record.alice_signal.mutable_words();
+  const std::span<std::uint64_t> decoy = record.alice_decoy.mutable_words();
 
   const double eta = config_.overall_transmittance();
   const double y0 = 2.0 * config_.detector.dark_count_prob;
@@ -34,7 +38,8 @@ DetectionRecord Bb84Simulator::run(std::size_t n_pulses,
     const auto cls = u < p_signal                ? PulseClass::kSignal
                      : (u < p_signal + p_decoy) ? PulseClass::kDecoy
                                                 : PulseClass::kVacuum;
-    record.alice_class[i] = static_cast<std::uint8_t>(cls);
+    signal[i >> 6] |= std::uint64_t{cls == PulseClass::kSignal} << (i & 63);
+    decoy[i >> 6] |= std::uint64_t{cls == PulseClass::kDecoy} << (i & 63);
 
     bool state_bit = record.alice_bits.get(i);
     bool state_basis = record.alice_bases.get(i);
@@ -86,14 +91,19 @@ DetectionRecord Bb84Simulator::run(std::size_t n_pulses,
 }
 
 LinkStats Bb84Simulator::stats(const DetectionRecord& record) {
-  LinkStats stats;
-  for (std::size_t i = 0; i < record.n_pulses; ++i) {
-    ++stats.per_class[record.alice_class[i]].sent;
-    ++stats.total.sent;
-  }
+  LinkStats stats;  // per_class is indexed by PulseClass
+  const std::size_t signal = record.alice_signal.popcount();
+  const std::size_t decoy = record.alice_decoy.popcount();
+  stats.per_class[0].sent = signal;
+  stats.per_class[1].sent = decoy;
+  stats.per_class[2].sent = record.n_pulses - signal - decoy;
+  stats.total.sent = record.n_pulses;
   for (std::size_t d = 0; d < record.detections(); ++d) {
     const std::uint32_t pulse = record.detected_idx[d];
-    auto& cls = stats.per_class[record.alice_class[pulse]];
+    const std::size_t class_index = record.alice_signal.get(pulse)  ? 0
+                                    : record.alice_decoy.get(pulse) ? 1
+                                                                    : 2;
+    auto& cls = stats.per_class[class_index];
     ++cls.detected;
     ++stats.total.detected;
     if (record.bob_bases.get(d) == record.alice_bases.get(pulse)) {

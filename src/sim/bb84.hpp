@@ -17,12 +17,14 @@ namespace qkdpp::sim {
 
 /// One simulation batch. Alice-side arrays are indexed by pulse id
 /// [0, n_pulses); Bob-side arrays are indexed by detection order and
-/// `detected_idx` maps back to pulse ids.
+/// `detected_idx` maps back to pulse ids. A pulse's PulseClass is one bit
+/// in each of two vectors: signal, decoy, or vacuum when neither is set.
 struct DetectionRecord {
   std::size_t n_pulses = 0;
   BitVec alice_bits;                        ///< per pulse
   BitVec alice_bases;                       ///< per pulse (0 = Z, 1 = X)
-  std::vector<std::uint8_t> alice_class;    ///< per pulse, PulseClass
+  BitVec alice_signal;                      ///< per pulse, PulseClass::kSignal
+  BitVec alice_decoy;                       ///< per pulse, PulseClass::kDecoy
   std::vector<std::uint32_t> detected_idx;  ///< pulse ids that clicked
   BitVec bob_bits;                          ///< per detection
   BitVec bob_bases;                         ///< per detection

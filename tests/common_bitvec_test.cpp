@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "common/bitvec_isa.hpp"
 #include "common/rng.hpp"
 
 namespace qkdpp {
@@ -153,6 +156,69 @@ TEST(BitVec, GatherSelectsPositions) {
     EXPECT_EQ(g.get(i), v.get(idx[i]));
   }
 }
+
+// Every gather body, run where the host can execute it, against a per-bit
+// get() reference. Source lengths run from 0 to 70,000 bits, on and off
+// 32- and 64-bit boundaries (the AVX2 body loads 32-bit halves of the
+// source words); output lengths cover a partial first word, whole words
+// and a partial last word; and positions hit the source's last bit in
+// lanes 0, 3 and 6 of the first 8-position step and as the final
+// position.
+class GatherBody : public ::testing::TestWithParam<detail::GatherIsa> {};
+
+TEST_P(GatherBody, MatchesPerBitReferenceAtRandomSizes) {
+  const detail::GatherIsa isa = GetParam();
+  if (!detail::gather_isa_available(isa)) {
+    GTEST_SKIP() << "gather body not runnable on this CPU";
+  }
+  Xoshiro256 rng(31);
+  std::vector<std::size_t> source_sizes = {0,  1,   31,  32,   33,    63,
+                                           64, 65,  95,  97,   4097,  69999,
+                                           70000};
+  for (int i = 0; i < 40; ++i) {
+    source_sizes.push_back(1 + static_cast<std::size_t>(rng.uniform(70000)));
+  }
+  for (const std::size_t n : source_sizes) {
+    const BitVec source = rng.random_bits(n);
+    std::vector<std::size_t> output_sizes = {0};
+    if (n != 0) {
+      output_sizes.insert(output_sizes.end(),
+                          {1, 7, 8, 9, 63, 64, 65, 127, 128, 200, 3 * 64 + 17,
+                           1 + static_cast<std::size_t>(rng.uniform(1000))});
+    }
+    for (const std::size_t m : output_sizes) {
+      std::vector<std::uint32_t> positions(m);
+      for (auto& p : positions) {
+        p = static_cast<std::uint32_t>(rng.uniform(n));
+      }
+      const auto last = static_cast<std::uint32_t>(n - 1);
+      for (std::size_t i = 0; i < std::min<std::size_t>(m, 8); i += 3) {
+        positions[i] = last;
+      }
+      if (m != 0) positions.back() = last;
+      const std::string what =
+          "source " + std::to_string(n) + " output " + std::to_string(m);
+      const BitVec got = detail::gather_on(isa, source, positions);
+      ASSERT_EQ(got.size(), m) << what;
+      for (std::size_t i = 0; i < m; ++i) {
+        ASSERT_EQ(got.get(i), source.get(positions[i])) << what << " bit " << i;
+      }
+      if (m % 64 != 0) {
+        EXPECT_EQ(got.words().back() >> (m % 64), 0u) << what << " tail";
+      }
+      EXPECT_EQ(source.gather(positions), got) << what;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isas, GatherBody,
+                         ::testing::Values(detail::GatherIsa::kPortable,
+                                           detail::GatherIsa::kAvx2),
+                         [](const auto& info) {
+                           return info.param == detail::GatherIsa::kAvx2
+                                      ? std::string("Avx2")
+                                      : std::string("Portable");
+                         });
 
 TEST(BitVec, SelectMatchesBitLoop) {
   Xoshiro256 rng(20);

@@ -127,6 +127,38 @@ TEST(Buffer, MaliciousU32VecLengthRejected) {
   EXPECT_THROW(r.get_u32_vec(), Error);
 }
 
+// Lengths whose scaled size wraps a 64-bit word: 2^62 u32s are 2^64 bytes
+// (0 after the wrap), and a bitvec of 2^64 - 7 bits or more rounds up to 0
+// bytes. Each must fail as a typed serialization error, not slip past the
+// size check into an allocation.
+TEST(Buffer, WrappingLengthsRejectedAsSerializationErrors) {
+  const auto expect_serialization_error = [](std::uint64_t length,
+                                             bool bitvec) {
+    ByteWriter w;
+    w.put_varint(length);
+    w.put_u32(0);
+    ByteReader r(w.data());
+    try {
+      if (bitvec) {
+        (void)r.get_bitvec();
+      } else {
+        (void)r.get_u32_vec();
+      }
+      ADD_FAILURE() << "length " << length << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kSerialization) << length;
+    }
+  };
+  const std::uint64_t max = ~std::uint64_t{0};
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 63, max}) {
+    expect_serialization_error(n, /*bitvec=*/false);
+  }
+  for (const std::uint64_t nbits : {max - 6, max - 1, max}) {
+    expect_serialization_error(nbits, /*bitvec=*/true);
+  }
+}
+
 TEST(Buffer, VarintOverflowRejected) {
   // 11 bytes of 0xff can encode > 64 bits; must throw, not wrap.
   std::vector<std::uint8_t> bytes(11, 0xff);

@@ -32,7 +32,7 @@ LinkData simulate_link(double km, std::uint64_t seed, std::size_t pulses) {
   const auto record = sim::Bb84Simulator(link).run(pulses, rng);
   LinkData data;
   data.alice_log = {record.alice_bits, record.alice_bases,
-                    record.alice_class};
+                    record.alice_signal};
   data.bob.block_id = 1;
   data.bob.n_pulses = record.n_pulses;
   data.bob.detected_idx = record.detected_idx;

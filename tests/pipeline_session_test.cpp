@@ -14,6 +14,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/buffer.hpp"
 #include "common/error.hpp"
 #include "engine/engine.hpp"
 #include "engine/primitives.hpp"
@@ -39,7 +40,7 @@ LinkData simulate_link(double km, std::uint64_t seed, std::size_t pulses,
   const auto record = sim::Bb84Simulator(link).run(pulses, rng);
   LinkData data;
   data.alice_log = {record.alice_bits, record.alice_bases,
-                    record.alice_class};
+                    record.alice_signal};
   data.bob.block_id = 1;
   data.bob.n_pulses = record.n_pulses;
   data.bob.detected_idx = record.detected_idx;
@@ -528,7 +529,7 @@ INSTANTIATE_TEST_SUITE_P(
                       HostileField::kUnaskedFrame,
                       HostileField::kPunctureExceedsSyndrome));
 
-// Reconcile-stage fields a hostile Bob can put on the wire.
+// Fields a hostile Bob can put on the wire.
 enum class HostileRequest {
   kPass,        // Cascade: pass 99, Alice derived only cascade.passes
   kRangeEnd,    // Cascade: range end 2^30, far past the key
@@ -536,17 +537,22 @@ enum class HostileRequest {
   kBlindRound,  // LDPC: blind round 0 (rounds are 1-based)
   kBlindFrame,  // LDPC: blind request for frame `frames`, past the block
   kDoneCount,   // LDPC: ReconcileDone with one outcome too many
+  kIndexCount,  // raw DetectionReport frame claiming 2^62 indices
 };
 
 // A scripted Bob: honest through sifting and estimation and through the
 // block's ReconcileStarts, then sends one hostile request. Alice must end
 // the session with a typed protocol fault instead of letting a
 // precondition of the parity responder or the frame senders escape
-// untyped.
+// untyped. A frame that does not parse at all is a typed serialization
+// fault.
 class HostileBob : public ::testing::TestWithParam<HostileRequest> {};
 
 TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
   const HostileRequest field = GetParam();
+  const ErrorCode expected = field == HostileRequest::kIndexCount
+                                 ? ErrorCode::kSerialization
+                                 : ErrorCode::kProtocol;
   const auto data = simulate_link(25.0, 110, 1 << 19);
   SessionConfig config = metro_session_config();
   const bool ldpc = field == HostileRequest::kBlindRound ||
@@ -566,6 +572,17 @@ TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
     protocol::DetectionReport report;
     report.block_id = 1;
     report.n_pulses = data.bob.n_pulses;
+    if (field == HostileRequest::kIndexCount) {
+      // The empty report's tag, block id and pulse count (17 bytes), then
+      // an index count whose byte size, 4 * 2^62, wraps to 0.
+      std::vector<std::uint8_t> frame = protocol::encode_message(report);
+      frame.resize(17);
+      ByteWriter count;
+      count.put_varint(std::uint64_t{1} << 62);
+      frame.insert(frame.end(), count.data().begin(), count.data().end());
+      ch.send(std::move(frame));
+      return;
+    }
     report.detected_idx = data.bob.detected_idx;
     report.bob_bases = data.bob.bases;
     send(report);
@@ -643,7 +660,7 @@ TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
   bob.get();
   EXPECT_FALSE(alice.success);
   ASSERT_TRUE(alice.fault_code.has_value()) << alice.abort_reason;
-  EXPECT_EQ(*alice.fault_code, ErrorCode::kProtocol) << alice.abort_reason;
+  EXPECT_EQ(*alice.fault_code, expected) << alice.abort_reason;
   EXPECT_TRUE(alice.final_key.empty());
 }
 
@@ -653,7 +670,8 @@ INSTANTIATE_TEST_SUITE_P(ReconcileRequests, HostileBob,
                                            HostileRequest::kRangeOrder,
                                            HostileRequest::kBlindRound,
                                            HostileRequest::kBlindFrame,
-                                           HostileRequest::kDoneCount));
+                                           HostileRequest::kDoneCount,
+                                           HostileRequest::kIndexCount));
 
 }  // namespace
 }  // namespace qkdpp::pipeline

@@ -18,7 +18,7 @@ namespace {
 
 AliceTransmitLog log_from(const sim::DetectionRecord& record) {
   return AliceTransmitLog{record.alice_bits, record.alice_bases,
-                          record.alice_class};
+                          record.alice_signal};
 }
 
 DetectionReport report_from(const sim::DetectionRecord& record) {
@@ -34,7 +34,7 @@ TEST(Sifting, HandBuiltExample) {
   AliceTransmitLog log;
   log.bits = BitVec::from_bools(std::vector<std::uint8_t>{1, 0, 1, 1, 0, 0});
   log.bases = BitVec::from_bools(std::vector<std::uint8_t>{0, 1, 0, 1, 0, 1});
-  log.pulse_class = {0, 0, 1, 0, 0, 0};
+  log.signal = BitVec::from_bools(std::vector<std::uint8_t>{1, 1, 0, 1, 1, 1});
 
   DetectionReport report;
   report.n_pulses = 6;
@@ -87,12 +87,12 @@ TEST(Sifting, EndToEndAgainstSimulator) {
 }
 
 // Reference oracle for sift_alice: the per-detection loop it replaced, one
-// get/push_back per detection. Kept here so the word-at-a-time version is
+// get/push_back per detection. Kept here so the gather-based version is
 // checked against it on random logs and on every error placement.
 AliceSiftOutcome sift_alice_reference(const AliceTransmitLog& log,
                                       const DetectionReport& report) {
   const std::size_t n_pulses = log.bits.size();
-  if (log.bases.size() != n_pulses || log.pulse_class.size() != n_pulses) {
+  if (log.bases.size() != n_pulses || log.signal.size() != n_pulses) {
     throw_error(ErrorCode::kProtocol, "inconsistent transmit log");
   }
   if (report.bob_bases.size() != report.detected_idx.size()) {
@@ -117,7 +117,7 @@ AliceSiftOutcome sift_alice_reference(const AliceTransmitLog& log,
     if (log.bases.get(pulse) == report.bob_bases.get(d)) {
       out.result.keep_mask.set(d, true);
       out.sifted_key.push_back(log.bits.get(pulse));
-      out.result.signal_mask.push_back(log.pulse_class[pulse] == 0);
+      out.result.signal_mask.push_back(log.signal.get(pulse));
     }
   }
   return out;
@@ -132,7 +132,7 @@ std::pair<AliceTransmitLog, DetectionReport> random_sift_input(
   log.bits = rng.random_bits(n_pulses);
   log.bases = rng.random_bits(n_pulses);
   for (std::size_t i = 0; i < n_pulses; ++i) {
-    log.pulse_class.push_back(static_cast<std::uint8_t>(rng.uniform(3)));
+    log.signal.push_back(rng.uniform(3) == 0);  // a third are signal
   }
   DetectionReport report;
   report.block_id = seed;
@@ -208,7 +208,7 @@ TEST(Sifting, RejectsOutOfRangeIndex) {
   AliceTransmitLog log;
   log.bits = BitVec(4);
   log.bases = BitVec(4);
-  log.pulse_class = {0, 0, 0, 0};
+  log.signal = BitVec(4, true);
   DetectionReport report;
   report.n_pulses = 4;
   report.detected_idx = {5};
@@ -220,7 +220,7 @@ TEST(Sifting, RejectsNonMonotoneIndices) {
   AliceTransmitLog log;
   log.bits = BitVec(10);
   log.bases = BitVec(10);
-  log.pulse_class.assign(10, 0);
+  log.signal = BitVec(10, true);
   DetectionReport report;
   report.n_pulses = 10;
   report.detected_idx = {3, 2};
@@ -232,7 +232,7 @@ TEST(Sifting, RejectsShapeMismatch) {
   AliceTransmitLog log;
   log.bits = BitVec(10);
   log.bases = BitVec(10);
-  log.pulse_class.assign(10, 0);
+  log.signal = BitVec(10, true);
   DetectionReport report;
   report.n_pulses = 10;
   report.detected_idx = {1, 2};

@@ -382,10 +382,10 @@ ReconcileOutcome sequential_reference_frame(
     const FramePlan& plan, std::uint64_t frame_seed,
     const LdpcReconcilerConfig& config, Xoshiro256& alice_private_rng) {
   const LdpcCode& code = code_by_id(plan.code_id);
-  const LdpcFrameSender alice(plan, alice_payload, frame_seed,
-                              alice_private_rng);
   const RateAdaptation adaptation = derive_adaptation(
       code.n(), plan.n_punctured, plan.n_shortened, frame_seed);
+  const LdpcFrameSender alice(plan, adaptation, alice_payload,
+                              alice_private_rng);
   const float channel = bsc_llr(qber);
   std::vector<float> llr(code.n(), 0.0f);  // punctured: erasures
   for (std::size_t i = 0; i < adaptation.payload.size(); ++i) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/entropy.hpp"
 #include "common/rng.hpp"
 #include "reconcile/parity_oracle.hpp"
@@ -325,6 +327,54 @@ TEST(CascadeDigest, MatchesParentDigest) {
   }
   EXPECT_EQ(converged, 4u) << "the exhausted and desynchronized runs fail";
   EXPECT_EQ(digest, 0xfcbb18d200f0b2c1ULL) << std::hex << digest;
+}
+
+// Keys of shrinking, growing and repeated length and pass count
+// reconciled one after another on one thread, each on the thread's reused
+// inverse permutations and on one reused permutation buffer, must give
+// each key exactly what a fresh thread with fresh buffers gives: a reused
+// buffer's stale contents are never read, also when the length repeats
+// under a new seed.
+TEST(Cascade, ReusedThreadBuffersMatchFreshThread) {
+  struct Shape {
+    std::size_t n;
+    double qber;
+    std::uint32_t passes;
+  };
+  CascadePermutations permutations;
+  Xoshiro256 rng(31);
+  std::uint64_t seed = 0;
+  for (const Shape shape : {Shape{35000, 0.05, 6}, Shape{1000, 0.02, 4},
+                            Shape{4097, 0.09, 8}, Shape{64, 0.03, 2},
+                            Shape{20000, 0.045, 6}, Shape{20000, 0.045, 6}}) {
+    const BitVec alice = rng.random_bits(shape.n);
+    const BitVec bob = corrupt(alice, shape.qber, rng);
+    CascadeConfig config;
+    config.qber_hint = shape.qber;
+    config.seed = ++seed;
+    config.passes = shape.passes;
+    fill_cascade_permutations(shape.n, config.seed, config.passes,
+                              permutations);
+
+    BitVec reused_key = bob;
+    LocalParityOracle reused_oracle(alice, permutations);
+    const CascadeResult reused =
+        cascade_reconcile(reused_key, reused_oracle, config, permutations);
+    BitVec fresh_key = bob;
+    CascadeResult expected;
+    std::thread([&] {
+      const CascadePermutations fresh =
+          cascade_permutations(shape.n, config.seed, config.passes);
+      EXPECT_EQ(permutations, fresh) << shape.n;
+      LocalParityOracle fresh_oracle(alice, fresh);
+      expected = cascade_reconcile(fresh_key, fresh_oracle, config, fresh);
+    }).join();
+    EXPECT_EQ(reused_key, fresh_key) << shape.n;
+    EXPECT_EQ(reused.leaked_bits, expected.leaked_bits) << shape.n;
+    EXPECT_EQ(reused.rounds, expected.rounds) << shape.n;
+    EXPECT_EQ(reused.corrected_bits, expected.corrected_bits) << shape.n;
+    EXPECT_EQ(reused.converged, expected.converged) << shape.n;
+  }
 }
 
 TEST(Cascade, ThrowsOnEmptyKey) {

@@ -401,10 +401,20 @@ TEST(LdpcLocal, LeakAccountingMatchesPlan) {
 TEST(LdpcLocal, PayloadSizeMismatchThrows) {
   Xoshiro256 alice_private(507);
   const FramePlan plan = plan_frame_batched(4096, 0.03, 1.3);
+  const RateAdaptation adaptation =
+      derive_adaptation(code_by_id(plan.code_id).n(), plan.n_punctured,
+                        plan.n_shortened, 1);
   const BitVec wrong(plan.payload_bits + 1);
-  EXPECT_THROW(
-      LdpcFrameSender(plan, wrong, 1, alice_private),
-      std::invalid_argument);
+  EXPECT_THROW(LdpcFrameSender(plan, adaptation, wrong, alice_private),
+               std::invalid_argument);
+  // A partition of another shape (here one more punctured bit) is refused:
+  // the sender reveals exactly the punctured positions it was built on.
+  const RateAdaptation other =
+      derive_adaptation(code_by_id(plan.code_id).n(), plan.n_punctured + 1,
+                        plan.n_shortened, 1);
+  const BitVec payload(plan.payload_bits);
+  EXPECT_THROW(LdpcFrameSender(plan, other, payload, alice_private),
+               std::invalid_argument);
 }
 
 TEST(CascadeVsLdpc, CascadeLeaksLessButTalksMore) {

@@ -100,7 +100,12 @@ TEST(Bb84, DetectionRecordShapeConsistent) {
   EXPECT_EQ(record.n_pulses, 20000u);
   EXPECT_EQ(record.alice_bits.size(), 20000u);
   EXPECT_EQ(record.alice_bases.size(), 20000u);
-  EXPECT_EQ(record.alice_class.size(), 20000u);
+  EXPECT_EQ(record.alice_signal.size(), 20000u);
+  EXPECT_EQ(record.alice_decoy.size(), 20000u);
+  // A pulse has one class: signal, decoy, or vacuum when neither bit is set.
+  BitVec both = record.alice_signal;
+  both &= record.alice_decoy;
+  EXPECT_EQ(both.popcount(), 0u);
   EXPECT_EQ(record.bob_bits.size(), record.detections());
   EXPECT_EQ(record.bob_bases.size(), record.detections());
   for (const auto idx : record.detected_idx) EXPECT_LT(idx, 20000u);
