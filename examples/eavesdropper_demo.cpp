@@ -7,9 +7,11 @@
 // toward 25%, (b) the decoy-state single-photon error bound blowing past
 // the 11% BB84 limit, and (c) the pipeline aborting instead of emitting
 // key - the detection mechanism QKD's security story rests on.
+#include <cstddef>
 #include <cstdio>
 
-#include "pipeline/offline.hpp"
+#include "engine/engine.hpp"
+#include "engine/sim_adapter.hpp"
 #include "protocol/param_estimation.hpp"
 #include "sim/bb84.hpp"
 
@@ -22,24 +24,26 @@ int main() {
   std::printf("-----------+----------+--------------+------------+---------"
               "--------\n");
 
+  constexpr std::size_t kPulses = std::size_t{1} << 20;
+  engine::PostprocessEngine qkd(engine::PostprocessParams{},
+                                engine::EngineOptions::cpu_only());
   for (const double fraction : {0.0, 0.1, 0.25, 0.5, 0.75, 1.0}) {
-    pipeline::OfflineConfig config;
-    config.link.channel.length_km = 10.0;
-    config.link.eve.intercept_fraction = fraction;
-    config.link.source.p_signal = 0.7;  // beefier decoy statistics
-    config.link.source.p_decoy = 0.15;
-    config.link.source.p_vacuum = 0.15;
-    config.pulses_per_block = 1 << 20;
+    sim::LinkConfig link;
+    link.channel.length_km = 10.0;
+    link.eve.intercept_fraction = fraction;
+    link.source.p_signal = 0.7;  // beefier decoy statistics
+    link.source.p_decoy = 0.15;
+    link.source.p_vacuum = 0.15;
+    const sim::Bb84Simulator simulator(link);
 
     // Decoy-state view (what parameter estimation sees about single
     // photons) straight from the simulated detection statistics.
     Xoshiro256 stats_rng(static_cast<std::uint64_t>(fraction * 100) + 5);
-    const auto record = sim::Bb84Simulator(config.link)
-                            .run(config.pulses_per_block, stats_rng);
-    const auto stats = sim::Bb84Simulator::stats(record);
+    const auto stats =
+        sim::Bb84Simulator::stats(simulator.run(kPulses, stats_rng));
     protocol::DecoyObservations obs;
-    obs.mu = config.link.source.mu_signal;
-    obs.nu = config.link.source.mu_decoy;
+    obs.mu = link.source.mu_signal;
+    obs.nu = link.source.mu_decoy;
     obs.q_mu = stats.per_class[0].gain();
     obs.q_nu = stats.per_class[1].gain();
     obs.e_mu = stats.per_class[0].qber();
@@ -48,8 +52,9 @@ int main() {
     const auto bounds = protocol::decoy_bounds(obs);
 
     Xoshiro256 rng(static_cast<std::uint64_t>(fraction * 100) + 6);
-    const auto block =
-        pipeline::OfflinePipeline(config).process_block(1, rng);
+    const engine::BlockInput input =
+        engine::make_block_input(simulator.run(kPulses, rng), 1);
+    const auto block = qkd.process_block(input, 1, rng);
 
     char decoy_cell[32];
     if (bounds.valid) {

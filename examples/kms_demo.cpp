@@ -13,6 +13,7 @@
 #include <future>
 #include <string>
 
+#include "engine/sim_adapter.hpp"
 #include "pipeline/kms.hpp"
 #include "pipeline/session.hpp"
 #include "protocol/auth_channel.hpp"
@@ -40,29 +41,21 @@ int main() {
   const sim::Bb84Simulator simulator(link);
 
   pipeline::KeyStore alice_kms, bob_kms;
-  pipeline::SessionConfig config;
+  const engine::PostprocessParams params{};
 
   std::printf("distilling keys over an authenticated channel (15 km)...\n");
   for (std::uint64_t block = 1; block <= 2; ++block) {
     Xoshiro256 link_rng(100 + block);
-    const auto record = simulator.run(1 << 20, link_rng);
-
-    protocol::AliceTransmitLog alice_log{record.alice_bits,
-                                         record.alice_bases,
-                                         record.alice_signal};
-    pipeline::BobDetections bob_view;
-    bob_view.block_id = block;
-    bob_view.n_pulses = record.n_pulses;
-    bob_view.detected_idx = record.detected_idx;
-    bob_view.bits = record.bob_bits;
-    bob_view.bases = record.bob_bases;
+    const engine::BlockInput input =
+        engine::make_block_input(simulator.run(1 << 20, link_rng), block);
 
     auto alice_future = std::async(std::launch::async, [&] {
       Xoshiro256 rng(500 + block);
-      return pipeline::run_alice_session(alice_channel, alice_log, block,
-                                         config, rng);
+      return pipeline::run_alice_session(alice_channel, input.log, block,
+                                         params, rng);
     });
-    const auto bob = pipeline::run_bob_session(bob_channel, bob_view, config);
+    const auto bob = pipeline::run_bob_session(bob_channel, input.report,
+                                               input.bob_bits, params);
     const auto alice = alice_future.get();
 
     if (!alice.success || !bob.success) {

@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "pipeline/offline.hpp"
+#include "engine/engine.hpp"
+#include "engine/sim_adapter.hpp"
+#include "sim/bb84.hpp"
 
 int main(int argc, char** argv) {
   using namespace qkdpp;
@@ -24,22 +26,29 @@ int main(int argc, char** argv) {
   std::printf("-------+-------------------+----------------------+--------"
               "--------------\n");
 
+  engine::PostprocessParams cascade_params;
+  cascade_params.method = protocol::ReconcileMethod::kCascade;
+  engine::PostprocessEngine ldpc_engine(engine::PostprocessParams{},
+                                        engine::EngineOptions::cpu_only());
+  engine::PostprocessEngine cascade_engine(cascade_params,
+                                           engine::EngineOptions::cpu_only());
+
   for (const double km : {5.0, 10.0, 15.0, 25.0, 35.0, 50.0}) {
-    pipeline::OfflineConfig config;
-    config.link.channel.length_km = km;
-    config.pulses_per_block = pulses;
+    sim::LinkConfig link;
+    link.channel.length_km = km;
+    const sim::Bb84Simulator simulator(link);
+    // Both methods see the same block: each run simulates it from the same
+    // seed, then post-processes it on the same stream.
+    const auto run = [&](engine::PostprocessEngine& qkd) {
+      Xoshiro256 rng(static_cast<std::uint64_t>(km * 1000) + 1);
+      const engine::BlockInput input =
+          engine::make_block_input(simulator.run(pulses, rng), 1);
+      return qkd.process_block(input, 1, rng);
+    };
+    const auto ldpc = run(ldpc_engine);
+    const auto cascade = run(cascade_engine);
 
-    Xoshiro256 rng_ldpc(static_cast<std::uint64_t>(km * 1000) + 1);
-    const auto ldpc =
-        pipeline::OfflinePipeline(config).process_block(1, rng_ldpc);
-
-    config.method = protocol::ReconcileMethod::kCascade;
-    config.cascade.passes = 6;
-    Xoshiro256 rng_cascade(static_cast<std::uint64_t>(km * 1000) + 1);
-    const auto cascade =
-        pipeline::OfflinePipeline(config).process_block(1, rng_cascade);
-
-    auto skr_cell = [](const pipeline::BlockOutcome& outcome) {
+    auto skr_cell = [](const engine::BlockOutcome& outcome) {
       return outcome.success ? outcome.skr_per_pulse() : 0.0;
     };
     std::printf("%6.0f | %9zu %6.2f%% | %11.2e %8.2f | %11.2e %8.2f\n", km,

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <future>
 
+#include "engine/sim_adapter.hpp"
 #include "pipeline/session.hpp"
 #include "sim/bb84.hpp"
 
@@ -21,16 +22,8 @@ int main() {
   sim::LinkConfig link;
   link.channel.length_km = 25.0;
   Xoshiro256 link_rng(42);
-  const auto record = sim::Bb84Simulator(link).run(1 << 20, link_rng);
-
-  protocol::AliceTransmitLog alice_log{record.alice_bits, record.alice_bases,
-                                       record.alice_signal};
-  pipeline::BobDetections bob_view;
-  bob_view.block_id = 1;
-  bob_view.n_pulses = record.n_pulses;
-  bob_view.detected_idx = record.detected_idx;
-  bob_view.bits = record.bob_bits;
-  bob_view.bases = record.bob_bases;
+  const engine::BlockInput input = engine::make_block_input(
+      sim::Bb84Simulator(link).run(1 << 20, link_rng), 1);
 
   struct Scenario {
     const char* name;
@@ -51,8 +44,8 @@ int main() {
   for (const auto& scenario : scenarios) {
     for (const auto method : {protocol::ReconcileMethod::kLdpc,
                               protocol::ReconcileMethod::kCascade}) {
-      pipeline::SessionConfig config;
-      config.method = method;
+      engine::PostprocessParams params;
+      params.method = method;
 
       protocol::ChannelModel model;
       model.latency_s = scenario.latency_s;
@@ -61,11 +54,11 @@ int main() {
 
       auto alice_future = std::async(std::launch::async, [&] {
         Xoshiro256 rng(7);
-        return pipeline::run_alice_session(*alice_channel, alice_log, 1,
-                                           config, rng);
+        return pipeline::run_alice_session(*alice_channel, input.log, 1,
+                                           params, rng);
       });
-      const auto bob =
-          pipeline::run_bob_session(*bob_channel, bob_view, config);
+      const auto bob = pipeline::run_bob_session(
+          *bob_channel, input.report, input.bob_bits, params);
       const auto alice = alice_future.get();
 
       if (!alice.success || !bob.success ||

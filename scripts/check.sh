@@ -30,17 +30,22 @@ set -eu
 cd "$(dirname "$0")/.."
 
 smoke() {
-  # Smoke runs shared by CI and local checks: the multi-link orchestrator
-  # under real concurrency, the dynamic-link scenario matrix with short
-  # timelines (adaptive re-planning + device hot-remove included), and the
-  # ETSI-shaped key-delivery API end to end through the JSON dispatcher
-  # (self-checks master/slave key identity and the 400/401/503 error
-  # model; a mismatch exits non-zero), and the trusted-node relay network
-  # (non-adjacent SAE delivery with a mid-stream admin outage re-routed
-  # around; self-checks failover + per-span bit conservation), and the two
-  # two-party session examples, which drive the session's reconcile
-  # exchange end to end (wan_link fails on an aborted session or unequal
-  # keys, kms_demo on a key that does not decrypt on the peer).
+  # Smoke runs shared by CI and local checks, one per example binary: the
+  # multi-link orchestrator under real concurrency, the dynamic-link
+  # scenario matrix with short timelines (adaptive re-planning + device
+  # hot-remove included), and the ETSI-shaped key-delivery API end to end
+  # through the JSON dispatcher (self-checks master/slave key identity and
+  # the 400/401/503 error model; a mismatch exits non-zero), and the
+  # trusted-node relay network (non-adjacent SAE delivery with a
+  # mid-stream admin outage re-routed around; self-checks failover +
+  # per-span bit conservation), and the two two-party session examples,
+  # which drive the session's reconcile exchange end to end (wan_link fails
+  # on an aborted session or unequal keys, kms_demo on a key that does not
+  # decrypt on the peer), and the four single-process block examples:
+  # quickstart (fails on an aborted block), hetero_offload, the
+  # intercept-resend sweep of eavesdropper_demo, and a short metro_link
+  # sweep (2^19 pulses per block). In Release on a 4-vCPU host the last
+  # four take about 0.1, 0.3, 0.9 and 0.4 s.
   echo "== smoke: multi_link ($1) =="
   "$1"/multi_link 2
   echo "== smoke: dynamic_link ($1) =="
@@ -53,6 +58,14 @@ smoke() {
   "$1"/wan_link
   echo "== smoke: kms_demo ($1) =="
   "$1"/kms_demo
+  echo "== smoke: quickstart ($1) =="
+  "$1"/quickstart
+  echo "== smoke: hetero_offload ($1) =="
+  "$1"/hetero_offload
+  echo "== smoke: eavesdropper_demo ($1) =="
+  "$1"/eavesdropper_demo
+  echo "== smoke: metro_link ($1) =="
+  "$1"/metro_link 19
 }
 
 run_tree() {

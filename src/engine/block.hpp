@@ -13,9 +13,11 @@
 
 namespace qkdpp::engine {
 
-/// Raw material for one block: both endpoints' views of the quantum layer.
-/// The offline pipeline fills this from the link simulator; a hardware
-/// deployment would fill it from transmitter/receiver logs.
+/// Raw material for one block: both endpoints' views of the quantum layer,
+/// the one per-block input of the engine and the two-party session (Alice
+/// runs on `log`, Bob on `report` and `bob_bits`). make_block_input fills it
+/// from the link simulator; a hardware deployment would fill it from
+/// transmitter/receiver logs.
 struct BlockInput {
   protocol::AliceTransmitLog log;    ///< Alice's per-pulse transmit log
   protocol::DetectionReport report;  ///< Bob's click announcement
@@ -25,7 +27,6 @@ struct BlockInput {
 /// Seconds charged per stage for one block. CPU devices charge measured
 /// wall-clock; simulated accelerators charge modeled time (drives F1).
 struct StageTimings {
-  double simulate = 0.0;  ///< not post-processing; reported separately
   double sift = 0.0;
   double estimate = 0.0;
   double reconcile = 0.0;

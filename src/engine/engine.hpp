@@ -6,8 +6,8 @@
 // assigned device. CPU devices charge measured wall-clock, the simulated
 // accelerators charge modeled time, and the arithmetic is host-side and
 // bit-exact on every placement, so device selection changes the clock, not
-// the key. OfflinePipeline and the two-party session are thin adapters over
-// this engine.
+// the key. The two-party session (pipeline/session.hpp) runs the same stage
+// primitives over a classical channel and ends with this engine's key.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,9 @@
 // Shared post-processing parameters and engine construction options.
 //
 // PostprocessParams is the single knob set for one distillation chain -
-// the offline pipeline, the two-party session and the batch engine all
-// consume the same struct (OfflineConfig extends it with link-simulation
-// fields; SessionConfig is an alias). EngineOptions selects the device
-// roster and the stage->device placement policy.
+// the engine and both peers of the two-party session consume the same
+// struct. EngineOptions selects the device roster and the stage->device
+// placement policy.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +21,7 @@
 namespace qkdpp::engine {
 
 /// Parameters of the post-processing chain proper (everything downstream of
-/// raw detections). Identical for offline, session and engine entry points.
+/// raw detections). Identical for the engine and session entry points.
 struct PostprocessParams {
   /// Fraction of sifted *signal* bits sacrificed to parameter estimation.
   double pe_fraction = 0.10;
@@ -30,10 +29,8 @@ struct PostprocessParams {
   double qber_abort = 0.11;
   protocol::ReconcileMethod method = protocol::ReconcileMethod::kLdpc;
   reconcile::LdpcReconcilerConfig ldpc;
-  /// Deliberate unification: the pre-engine SessionConfig defaulted to 6
-  /// passes while OfflineConfig inherited CascadeConfig's 4; 6 wins (the
-  /// residual-error rate of 4 passes fails verification too often near the
-  /// QBER abort threshold).
+  /// 6 passes, not CascadeConfig's 4: the residual-error rate of 4 passes
+  /// fails verification too often near the QBER abort threshold.
   reconcile::CascadeConfig cascade = {.passes = 6};
   privacy::SecurityParams security;
 };

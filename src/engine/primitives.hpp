@@ -34,8 +34,8 @@ SignalSplit split_sifted(const BitVec& sifted, const BitVec& signal_mask);
 
 /// Positions disclosed for parameter estimation: all non-signal positions
 /// plus a `fraction` sample of the signal positions, sorted ascending.
-/// Consumes one sample_without_replacement draw from `rng` (both the offline
-/// engine and Alice's session side use the identical draw).
+/// Consumes one sample_without_replacement draw from `rng` (the engine and
+/// Alice's session side use the identical draw).
 std::vector<std::uint32_t> choose_pe_positions(const SignalSplit& split,
                                                double fraction,
                                                Xoshiro256& rng);

@@ -1,7 +1,7 @@
 // Adapter from the link simulator's batch record to the engine's
 // BlockInput. Header-only so the engine core stays independent of sim/;
-// include this only where simulated blocks feed the engine (the offline
-// pipeline, examples, tests).
+// include this only where simulated blocks feed the engine or the session
+// (the orchestrator, examples, tests).
 #pragma once
 
 #include <cstdint>

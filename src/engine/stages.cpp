@@ -248,11 +248,9 @@ class ReconcileExecutor final : public StageExecutor {
 
   void run_cascade(BlockState& state, const ExecutionContext& ctx,
                    double qber) const {
-    reconcile::CascadeConfig cascade = ctx.params->cascade;
-    cascade.qber_hint = qber;
-    cascade.seed = reconcile::cascade_block_seed(state.block_id);
     const auto result = reconcile::cascade_reconcile_local(
-        state.alice_key, state.bob_key, qber, cascade);
+        state.alice_key, state.bob_key, qber,
+        reconcile::cascade_block_seed(state.block_id), ctx.params->cascade);
     ctx.ledger->ec_bits += result.leaked_bits;
     state.outcome.reconcile_rounds += result.rounds;
     if (!result.success) {

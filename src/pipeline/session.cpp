@@ -168,7 +168,8 @@ class RemoteRevealOracle final : public reconcile::RevealOracle {
 SessionResult run_alice_session(ClassicalChannel& channel,
                                 const protocol::AliceTransmitLog& log,
                                 std::uint64_t block_id,
-                                const SessionConfig& config, Xoshiro256& rng) {
+                                const engine::PostprocessParams& params,
+                                Xoshiro256& rng) {
   SessionResult result;
   result.key_id = block_id;
   try {
@@ -194,7 +195,7 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     PeReveal reveal;
     reveal.block_id = block_id;
     reveal.positions =
-        engine::choose_pe_positions(split, config.pe_fraction, rng);
+        engine::choose_pe_positions(split, params.pe_fraction, rng);
     for (const auto p : reveal.positions) {
       reveal.alice_bits.push_back(sift.sifted_key.get(p));
     }
@@ -207,7 +208,7 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     const std::size_t mismatches =
         BitVec::hamming_distance(reveal.alice_bits, pe_report.bob_bits);
     const auto estimate = protocol::estimate_qber(
-        reveal.positions.size(), mismatches, config.security.eps_pe);
+        reveal.positions.size(), mismatches, params.security.eps_pe);
     result.qber_estimate = estimate.qber;
 
     PeVerdict verdict;
@@ -215,7 +216,7 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     verdict.qber_estimate = estimate.qber;
     verdict.qber_upper = estimate.qber_upper;
     // Go/no-go on the point estimate (the confidence bound feeds PA).
-    verdict.proceed = estimate.qber < config.qber_abort;
+    verdict.proceed = estimate.qber < params.qber_abort;
     send_msg(channel, verdict);
     if (!verdict.proceed) {
       result.abort_reason = "qber above abort threshold";
@@ -232,17 +233,17 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     // reconcile stage, so both deployments reconcile a block the same way.
     ReconcileStart start;
     start.block_id = block_id;
-    start.method = config.method;
+    start.method = params.method;
     start.qber_hint = qber_hint;
     std::optional<reconcile::LdpcResponder> ldpc;
     std::optional<reconcile::CascadeResponder> cascade;
     std::size_t frame_bits = key.size();  // Cascade: the key is one frame
     std::size_t frames = 1;
-    if (config.method == ReconcileMethod::kLdpc) {
+    if (params.method == ReconcileMethod::kLdpc) {
       reconcile::LdpcBlockFraming framing;
       try {
         framing = reconcile::frame_ldpc_block(key.size(), qber_hint, block_id,
-                                              config.ldpc);
+                                              params.ldpc);
       } catch (const Error&) {
         send_abort(channel, block_id, "key shorter than one frame");
         result.abort_reason = "key shorter than one frame";
@@ -251,7 +252,7 @@ SessionResult run_alice_session(ClassicalChannel& channel,
       }
       const reconcile::FramePlan& plan = framing.plan;
       ldpc.emplace(key, plan, framing.frame_seeds,
-                   config.ldpc.max_blind_rounds, rng);
+                   params.ldpc.max_blind_rounds, rng);
       frame_bits = plan.payload_bits;
       frames = ldpc->frames();
       start.code_id = plan.code_id;
@@ -271,7 +272,7 @@ SessionResult run_alice_session(ClassicalChannel& channel,
       send_msg(channel, start);
       cascade.emplace(key, reconcile::cascade_permutations(
                                key.size(), start.perm_seed,
-                               config.cascade.passes));
+                               params.cascade.passes));
     }
 
     // Serve Bob's requests until he reports each frame's outcome. Request
@@ -364,7 +365,7 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     // --- privacy amplification --------------------------------------------------
     const auto pa_plan = privacy::plan_privacy_amplification(
         reconciled.size(), reveal.positions.size(), estimate.qber,
-        result.leak_ec_bits + engine::kVerifyTagBits, config.security);
+        result.leak_ec_bits + engine::kVerifyTagBits, params.security);
     if (!pa_plan.viable) {
       send_abort(channel, block_id, "no extractable secret key");
       result.abort_reason = "no extractable secret key";
@@ -376,7 +377,7 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     pa.seed = rng.next_u64();
     pa.out_len = pa_plan.output_bits;
     send_msg(channel, pa);
-    result.final_key =
+    BitVec final_key =
         engine::apply_toeplitz(pa.seed, reconciled, pa_plan.output_bits);
 
     // --- confirmation (non-secret parameter checksum) ---------------------------
@@ -386,6 +387,9 @@ SessionResult run_alice_session(ClassicalChannel& channel,
     if (bob_confirm.crc != confirm.crc) {
       throw_error(ErrorCode::kProtocol, "key confirmation mismatch");
     }
+    // The key is the result only once every check has passed: a fault
+    // above unwinds with it.
+    result.final_key = std::move(final_key);
     result.success = true;
   } catch (const AbortSignal& abort) {
     result.abort_reason = abort.reason;
@@ -397,23 +401,22 @@ SessionResult run_alice_session(ClassicalChannel& channel,
 }
 
 SessionResult run_bob_session(ClassicalChannel& channel,
-                              const BobDetections& detections,
-                              const SessionConfig& config) {
+                              const DetectionReport& report,
+                              const BitVec& bob_bits,
+                              const engine::PostprocessParams& params) {
   SessionResult result;
-  result.key_id = detections.block_id;
-  const std::uint64_t block_id = detections.block_id;
+  result.key_id = report.block_id;
+  const std::uint64_t block_id = report.block_id;
   try {
     // --- sifting ---------------------------------------------------------
-    DetectionReport report;
-    report.block_id = block_id;
-    report.n_pulses = detections.n_pulses;
-    report.detected_idx = detections.detected_idx;
-    report.bob_bases = detections.bases;
     send_msg(channel, report);
 
     const auto sift_result = expect_msg<SiftResult>(channel);
-    const BitVec sifted = protocol::sift_bob(detections.bits, sift_result);
+    const BitVec sifted = protocol::sift_bob(bob_bits, sift_result);
     result.sifted_bits = sifted.size();
+    // Signal-class sifted bits, counted before the estimation sample
+    // leaves, as Alice and the engine count them.
+    result.key_candidate_bits = sift_result.signal_mask.popcount();
 
     // --- parameter estimation ---------------------------------------------
     const auto reveal = expect_msg<PeReveal>(channel);
@@ -437,7 +440,6 @@ SessionResult run_bob_session(ClassicalChannel& channel,
 
     const BitVec key = engine::remaining_key(sifted, sift_result.signal_mask,
                                              reveal.positions);
-    result.key_candidate_bits = key.size();
 
     // --- reconciliation -----------------------------------------------------
     const auto first_start = expect_msg<ReconcileStart>(channel);
@@ -501,19 +503,16 @@ SessionResult run_bob_session(ClassicalChannel& channel,
       }
       RemoteRevealOracle oracle(channel, block_id, code.n());
       const auto stats = reconcile::ldpc_decode_block(
-          key, qber, plan, adaptations, syndromes, config.ldpc, oracle,
+          key, qber, plan, adaptations, syndromes, params.ldpc, oracle,
           /*arena=*/nullptr, reconciled);
       result.leak_ec_bits += stats.leaked_bits;
       converged = stats.converged;
     } else {
       // Cascade: Bob drives, Alice serves parities.
       RemoteParityOracle oracle(channel, block_id);
-      reconcile::CascadeConfig cascade = config.cascade;
-      cascade.qber_hint = qber;
-      cascade.seed = first_start.perm_seed;
       BitVec corrected = key;
-      const auto cascade_result =
-          reconcile::cascade_reconcile(corrected, oracle, cascade);
+      const auto cascade_result = reconcile::cascade_reconcile(
+          corrected, oracle, qber, first_start.perm_seed, params.cascade);
       result.leak_ec_bits += cascade_result.leaked_bits;
       // Report the real convergence state: on round-budget exhaustion the
       // keys provably still differ and verification (which both peers still
@@ -549,7 +548,7 @@ SessionResult run_bob_session(ClassicalChannel& channel,
                   "privacy amplification length " + std::to_string(pa.out_len) +
                       " outside 1.." + std::to_string(reconciled.size()));
     }
-    result.final_key = engine::apply_toeplitz(
+    BitVec final_key = engine::apply_toeplitz(
         pa.seed, reconciled, static_cast<std::size_t>(pa.out_len));
 
     // --- confirmation -----------------------------------------------------------
@@ -559,6 +558,7 @@ SessionResult run_bob_session(ClassicalChannel& channel,
     if (alice_confirm.crc != confirm.crc) {
       throw_error(ErrorCode::kProtocol, "key confirmation mismatch");
     }
+    result.final_key = std::move(final_key);
     result.success = true;
   } catch (const AbortSignal& abort) {
     result.abort_reason = abort.reason;

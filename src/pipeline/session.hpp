@@ -45,20 +45,16 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "engine/params.hpp"
 #include "protocol/channel.hpp"
+#include "protocol/messages.hpp"
 #include "protocol/sifting.hpp"
 
 namespace qkdpp::pipeline {
-
-/// The session consumes the same parameter set as the engine and the
-/// offline pipeline - one struct, three deployments.
-using SessionConfig = engine::PostprocessParams;
 
 struct SessionResult {
   bool success = false;
@@ -69,7 +65,7 @@ struct SessionResult {
   /// aborts (high QBER, verification mismatch, short key).
   std::optional<ErrorCode> fault_code;
 
-  BitVec final_key;
+  BitVec final_key;          ///< empty unless success
   std::uint64_t key_id = 0;  ///< shared id (block id based)
 
   std::size_t sifted_bits = 0;
@@ -80,24 +76,20 @@ struct SessionResult {
   protocol::ChannelCounters channel;
 };
 
-/// Bob's raw-detection view (what a receiver actually has).
-struct BobDetections {
-  std::uint64_t block_id = 0;
-  std::uint64_t n_pulses = 0;
-  std::vector<std::uint32_t> detected_idx;
-  BitVec bits;
-  BitVec bases;
-};
-
-/// Run Alice's side to completion for one block.
+/// Run Alice's side to completion for one block: her half of an
+/// engine::BlockInput, the transmit log.
 SessionResult run_alice_session(protocol::ClassicalChannel& channel,
                                 const protocol::AliceTransmitLog& log,
                                 std::uint64_t block_id,
-                                const SessionConfig& config, Xoshiro256& rng);
+                                const engine::PostprocessParams& params,
+                                Xoshiro256& rng);
 
-/// Run Bob's side to completion for one block.
+/// Run Bob's side to completion for one block: his half of an
+/// engine::BlockInput, the click announcement (sent to Alice as given; its
+/// block_id names the block) and his measured bits.
 SessionResult run_bob_session(protocol::ClassicalChannel& channel,
-                              const BobDetections& detections,
-                              const SessionConfig& config);
+                              const protocol::DetectionReport& report,
+                              const BitVec& bob_bits,
+                              const engine::PostprocessParams& params);
 
 }  // namespace qkdpp::pipeline

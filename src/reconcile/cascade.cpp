@@ -36,7 +36,7 @@ std::vector<std::vector<std::uint32_t>>& tls_inverse_permutations() {
 /// Bob-side working state for one Cascade run.
 class CascadeEngine {
  public:
-  CascadeEngine(BitVec& key, ParityOracle& oracle,
+  CascadeEngine(BitVec& key, ParityOracle& oracle, double qber_hint,
                 const CascadeConfig& config,
                 std::span<const std::vector<std::uint32_t>> permutations)
       : key_(key),
@@ -55,7 +55,7 @@ class CascadeEngine {
     const auto half = static_cast<std::uint32_t>(std::max<std::size_t>(n_ / 2, 1));
     block_size_.resize(config.passes);
     block_size_[0] =
-        std::min(cascade_block_size(config.qber_hint, cap), std::max(half, 2u));
+        std::min(cascade_block_size(qber_hint, cap), std::max(half, 2u));
     for (std::uint32_t p = 1; p < config.passes; ++p) {
       block_size_[p] = static_cast<std::uint32_t>(std::min<std::uint64_t>(
           std::uint64_t{block_size_[p - 1]} * 2, half));
@@ -220,18 +220,20 @@ class CascadeEngine {
 }  // namespace
 
 CascadeResult cascade_reconcile(
-    BitVec& bob_key, ParityOracle& oracle, const CascadeConfig& config,
+    BitVec& bob_key, ParityOracle& oracle, double qber_hint,
+    const CascadeConfig& config,
     std::span<const std::vector<std::uint32_t>> permutations) {
   QKDPP_REQUIRE(config.passes >= 1, "cascade needs at least one pass");
-  CascadeEngine engine(bob_key, oracle, config, permutations);
+  CascadeEngine engine(bob_key, oracle, qber_hint, config, permutations);
   return engine.run();
 }
 
 CascadeResult cascade_reconcile(BitVec& bob_key, ParityOracle& oracle,
+                                double qber_hint, std::uint64_t seed,
                                 const CascadeConfig& config) {
   return cascade_reconcile(
-      bob_key, oracle, config,
-      cascade_permutations(bob_key.size(), config.seed, config.passes));
+      bob_key, oracle, qber_hint, config,
+      cascade_permutations(bob_key.size(), seed, config.passes));
 }
 
 }  // namespace qkdpp::reconcile

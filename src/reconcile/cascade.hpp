@@ -24,13 +24,13 @@
 
 namespace qkdpp::reconcile {
 
+/// Per-deployment Cascade knobs. What changes per block - the QBER hint
+/// that sizes the first pass and the seed both sides derive the pass
+/// permutations from - is an argument of cascade_reconcile instead.
 struct CascadeConfig {
   std::uint32_t passes = 4;
-  /// Drives the first-pass block size k1 = ceil(0.73 / qber) (clamped).
-  double qber_hint = 0.02;
-  /// Both sides derive pass permutations from this seed.
-  std::uint64_t seed = 0;
-  /// Upper clamp for k1 (protects against a ~zero QBER hint).
+  /// Upper clamp for the first-pass block size (protects against a ~zero
+  /// QBER hint).
   std::uint32_t initial_block_cap = 1u << 14;
   /// Safety valve: a desynchronized peer (wrong permutation seed) makes the
   /// cascade chase phantom errors forever; stop after this many oracle
@@ -57,15 +57,18 @@ struct CascadeResult {
 std::uint32_t cascade_block_size(double qber, std::uint32_t cap);
 
 /// Run Cascade, correcting `bob_key` in place toward Alice's key behind the
-/// oracle. `permutations` must hold at least config.passes permutations of
-/// [0, bob_key.size()), the ones the oracle answers for (config.seed is not
-/// read). The oracle's pass count must be >= config.passes.
+/// oracle. `qber_hint` sizes the first pass, k1 = ceil(0.73 / qber_hint)
+/// (clamped). `permutations` must hold at least config.passes permutations
+/// of [0, bob_key.size()), the ones the oracle answers for. The oracle's
+/// pass count must be >= config.passes.
 CascadeResult cascade_reconcile(
-    BitVec& bob_key, ParityOracle& oracle, const CascadeConfig& config,
+    BitVec& bob_key, ParityOracle& oracle, double qber_hint,
+    const CascadeConfig& config,
     std::span<const std::vector<std::uint32_t>> permutations);
 
-/// As above, with the permutations derived from config.seed.
+/// As above, with the permutations derived from `seed`.
 CascadeResult cascade_reconcile(BitVec& bob_key, ParityOracle& oracle,
+                                double qber_hint, std::uint64_t seed,
                                 const CascadeConfig& config);
 
 }  // namespace qkdpp::reconcile

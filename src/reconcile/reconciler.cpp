@@ -299,6 +299,7 @@ BatchReconcileStats ldpc_reconcile_key_batch(
 
 ReconcileOutcome cascade_reconcile_local(const BitVec& alice_key,
                                          const BitVec& bob_key, double qber,
+                                         std::uint64_t seed,
                                          const CascadeConfig& config) {
   QKDPP_REQUIRE(alice_key.size() == bob_key.size(),
                 "cascade keys must have equal length");
@@ -308,12 +309,12 @@ ReconcileOutcome cascade_reconcile_local(const BitVec& alice_key,
   // memory freed and reallocated every block can go back to the OS and be
   // page-faulted in again.
   thread_local CascadePermutations permutations;
-  fill_cascade_permutations(alice_key.size(), config.seed, config.passes,
+  fill_cascade_permutations(alice_key.size(), seed, config.passes,
                             permutations);
   LocalParityOracle oracle(alice_key, permutations);
   BitVec corrected = bob_key;
   const CascadeResult result =
-      cascade_reconcile(corrected, oracle, config, permutations);
+      cascade_reconcile(corrected, oracle, qber, config, permutations);
 
   ReconcileOutcome outcome;
   outcome.corrected = std::move(corrected);

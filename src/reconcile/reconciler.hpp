@@ -213,9 +213,11 @@ BatchReconcileStats ldpc_reconcile_key_batch(
 
 /// Run Cascade in-process; thin wrapper pairing the engine with a local
 /// oracle (both given the same pass permutations, derived once from
-/// config.seed) and translating to ReconcileOutcome.
+/// `seed`) and translating to ReconcileOutcome. `qber` sizes the first pass
+/// and prices the efficiency.
 ReconcileOutcome cascade_reconcile_local(const BitVec& alice_key,
                                          const BitVec& bob_key, double qber,
+                                         std::uint64_t seed,
                                          const CascadeConfig& config);
 
 }  // namespace qkdpp::reconcile

@@ -141,7 +141,6 @@ LinkOrchestrator::LinkOrchestrator(OrchestratorConfig config)
 
     engine::EngineOptions options;
     options.shared_devices = devices_;
-    options.threads = config_.device_threads;
     options.workload = workload_for(spec, spec.link);
     links_.back().engine = std::make_unique<engine::PostprocessEngine>(
         spec.params, std::move(options));
@@ -191,7 +190,7 @@ void LinkOrchestrator::apply_device_events(std::uint64_t block_index) {
 
 engine::BlockOutcome LinkOrchestrator::run_session_block(
     LinkState& state, std::uint64_t block_id, std::uint64_t block_index,
-    sim::DetectionRecord record, LinkReport& report) {
+    const engine::BlockInput& input, LinkReport& report) {
   const LinkSpec& spec = state.spec;
   const protocol::FaultProfile profile = spec.schedule.fault_profile_at(
       spec.channel_faults, block_index);
@@ -213,18 +212,9 @@ engine::BlockOutcome LinkOrchestrator::run_session_block(
                                         spec.channel_retry,
                                         block_seed(seed, block_id, 4));
 
-  const protocol::AliceTransmitLog alice_log{std::move(record.alice_bits),
-                                             std::move(record.alice_bases),
-                                             std::move(record.alice_signal)};
-  pipeline::BobDetections detections;
-  detections.block_id = block_id;
-  detections.n_pulses = record.n_pulses;
-  detections.detected_idx = std::move(record.detected_idx);
-  detections.bits = std::move(record.bob_bits);
-  detections.bases = std::move(record.bob_bases);
-
   auto bob_future = std::async(std::launch::async, [&] {
-    auto r = pipeline::run_bob_session(bob_channel, detections, spec.params);
+    auto r = pipeline::run_bob_session(bob_channel, input.report,
+                                       input.bob_bits, spec.params);
     // Close inside the task: close() lingers to pump retransmissions of
     // Bob's final frame, which only helps while Alice is still listening.
     bob_channel.close();
@@ -235,7 +225,7 @@ engine::BlockOutcome LinkOrchestrator::run_session_block(
   // runs whatever the fault timing did to previous blocks.
   Xoshiro256 session_rng(block_seed(seed, block_id, 0));
   const pipeline::SessionResult alice = pipeline::run_alice_session(
-      alice_channel, alice_log, block_id, spec.params, session_rng);
+      alice_channel, input.log, block_id, spec.params, session_rng);
   alice_channel.close();
   const pipeline::SessionResult bob = bob_future.get();
 
@@ -255,7 +245,8 @@ engine::BlockOutcome LinkOrchestrator::run_session_block(
 
   engine::BlockOutcome outcome;
   outcome.block_id = block_id;
-  outcome.pulses = spec.pulses_per_block;
+  outcome.pulses = static_cast<std::size_t>(input.report.n_pulses);
+  outcome.detections = input.report.detected_idx.size();
   outcome.sifted_bits = alice.sifted_bits;
   outcome.key_candidate_bits = alice.key_candidate_bits;
   outcome.qber_estimate = alice.qber_estimate;
@@ -343,25 +334,17 @@ void LinkOrchestrator::run_link(std::size_t i, LinkReport& report) {
 
     const std::uint64_t block_id = state.next_block_id++;
     Stopwatch block_clock;
-    sim::DetectionRecord record;
-    if (state.spec.schedule.empty()) {
-      record = state.simulator.run(state.spec.pulses_per_block, state.rng);
-    } else {
-      // Sample the scheduled channel for this block index: the simulator
-      // is cheap to rebuild and the physics stays seed-deterministic.
-      const sim::Bb84Simulator simulator(
-          state.spec.schedule.config_at(state.spec.link, b));
-      record = simulator.run(state.spec.pulses_per_block, state.rng);
-    }
-    engine::BlockOutcome outcome;
-    if (state.spec.session_transport) {
-      outcome =
-          run_session_block(state, block_id, b, std::move(record), report);
-    } else {
-      const engine::BlockInput input =
-          engine::make_block_input(std::move(record), block_id);
-      outcome = state.engine->process_block(input, block_id, state.rng);
-    }
+    // Sample the channel as the schedule has it at this block index (the
+    // link itself when the schedule is empty): the simulator is cheap to
+    // build and the physics stays seed-deterministic.
+    const sim::Bb84Simulator simulator(
+        state.spec.schedule.config_at(state.spec.link, b));
+    const engine::BlockInput input = engine::make_block_input(
+        simulator.run(state.spec.pulses_per_block, state.rng), block_id);
+    const engine::BlockOutcome outcome =
+        state.spec.session_transport
+            ? run_session_block(state, block_id, b, input, report)
+            : state.engine->process_block(input, block_id, state.rng);
     // Decode statistics accumulate for aborted blocks too - a failed block
     // still spent iterations and disclosed its syndromes.
     report.reconcile_frames += outcome.reconcile_frames;

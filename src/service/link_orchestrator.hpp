@@ -36,7 +36,6 @@
 #include "pipeline/kms.hpp"
 #include "protocol/faulty_channel.hpp"
 #include "protocol/reliable_channel.hpp"
-#include "sim/bb84.hpp"
 #include "sim/link_config.hpp"
 #include "sim/scenario.hpp"
 
@@ -270,7 +269,6 @@ class LinkOrchestrator {
  private:
   struct LinkState {
     LinkSpec spec;
-    sim::Bb84Simulator simulator;
     std::unique_ptr<engine::PostprocessEngine> engine;
     pipeline::KeyStore store;
     Xoshiro256 rng;
@@ -296,7 +294,6 @@ class LinkOrchestrator {
 
     LinkState(LinkSpec s, pipeline::KeyStoreConfig store_config)
         : spec(std::move(s)),
-          simulator(spec.link),
           store(store_config),
           rng(spec.rng_seed) {}
   };
@@ -322,15 +319,15 @@ class LinkOrchestrator {
 
   void apply_device_events(std::uint64_t block_index);
   void run_link(std::size_t i, LinkReport& report);
-  /// One block over the session transport: Alice and Bob distill the
-  /// simulated detections across an in-process classical channel wearing
-  /// the block's fault profile under the ARQ layer. Returns an
-  /// engine-shaped outcome so downstream accounting is path-agnostic;
-  /// channel/fault counters accumulate onto `report`.
+  /// One block over the session transport: Alice and Bob distill their
+  /// halves of `input` across an in-process classical channel wearing the
+  /// block's fault profile under the ARQ layer. Returns an engine-shaped
+  /// outcome so downstream accounting is path-agnostic; channel/fault
+  /// counters accumulate onto `report`.
   engine::BlockOutcome run_session_block(LinkState& state,
                                          std::uint64_t block_id,
                                          std::uint64_t block_index,
-                                         sim::DetectionRecord record,
+                                         const engine::BlockInput& input,
                                          LinkReport& report);
 
   OrchestratorConfig config_;

@@ -1,17 +1,12 @@
 // PostprocessEngine tests: bit-exact final keys across all four DeviceKind
-// placements (device selection changes the clock, never the key), mapper
-// edge cases surfaced through the engine, and the merged parameter
-// plumbing.
+// placements (device selection changes the clock, never the key) and mapper
+// edge cases surfaced through the engine.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
-
 #include "common/error.hpp"
 #include "engine/sim_adapter.hpp"
-#include "pipeline/offline.hpp"
-#include "pipeline/session.hpp"
 #include "sim/bb84.hpp"
 
 namespace qkdpp::engine {
@@ -273,18 +268,6 @@ TEST(PostprocessEngine, FinalKeyDigestMatchesParent) {
   }
   EXPECT_EQ(successes, 6u);
   EXPECT_EQ(digest, 0x5598afbf412fd6dcULL) << std::hex << digest;
-}
-
-TEST(PostprocessParams, SharedByOfflineAndSessionConfigs) {
-  static_assert(
-      std::is_base_of_v<PostprocessParams, pipeline::OfflineConfig>,
-      "OfflineConfig must extend the shared parameter set");
-  static_assert(std::is_same_v<pipeline::SessionConfig, PostprocessParams>,
-                "SessionConfig must alias the shared parameter set");
-  pipeline::OfflineConfig config;
-  config.pe_fraction = 0.2;
-  const PostprocessParams& params = config;
-  EXPECT_DOUBLE_EQ(params.pe_fraction, 0.2);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
-// KMS + offline pipeline tests: end-to-end distillation on healthy links,
-// abort paths on hostile ones, ledger consistency, determinism.
+// KeyStore ledger tests, and single-process blocks: simulate, then
+// make_block_input, then process_block on a cpu-only engine, with one RNG
+// stream feeding both. End-to-end distillation on healthy links, abort
+// paths on hostile ones, determinism.
 #include "pipeline/kms.hpp"
-#include "pipeline/offline.hpp"
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
+#include <cstddef>
+
+#include "engine/engine.hpp"
+#include "engine/sim_adapter.hpp"
+#include "sim/bb84.hpp"
 
 namespace qkdpp::pipeline {
 namespace {
@@ -55,17 +60,35 @@ TEST(KeyStore, LedgerTracksConsumption) {
   EXPECT_EQ(store.bits_available(), 50u);
 }
 
-OfflineConfig metro_config() {
-  OfflineConfig config;
-  config.link.channel.length_km = 25.0;
-  config.pulses_per_block = 1 << 20;
-  return config;
+sim::LinkConfig metro_link() {
+  sim::LinkConfig link;
+  link.channel.length_km = 25.0;
+  return link;
 }
 
-TEST(OfflinePipeline, LdpcBlockProducesKey) {
+constexpr std::size_t kMetroPulses = std::size_t{1} << 20;
+
+/// One block: the simulator and then the engine draw from `rng`, in that
+/// order.
+engine::BlockOutcome run_block(const sim::LinkConfig& link, std::size_t pulses,
+                               const engine::PostprocessParams& params,
+                               std::uint64_t block_id, Xoshiro256& rng) {
+  engine::PostprocessEngine engine(params, engine::EngineOptions::cpu_only());
+  const engine::BlockInput input = engine::make_block_input(
+      sim::Bb84Simulator(link).run(pulses, rng), block_id);
+  return engine.process_block(input, block_id, rng);
+}
+
+engine::PostprocessParams cascade_params() {
+  engine::PostprocessParams params;
+  params.method = protocol::ReconcileMethod::kCascade;
+  params.cascade.passes = 6;
+  return params;
+}
+
+TEST(SimulatedBlock, LdpcBlockProducesKey) {
   Xoshiro256 rng(10);
-  OfflinePipeline pipeline(metro_config());
-  const auto outcome = pipeline.process_block(1, rng);
+  const auto outcome = run_block(metro_link(), kMetroPulses, {}, 1, rng);
   ASSERT_TRUE(outcome.success) << outcome.abort_reason;
   EXPECT_GT(outcome.final_key_bits, 0u);
   EXPECT_EQ(outcome.final_key.size(), outcome.final_key_bits);
@@ -80,117 +103,86 @@ TEST(OfflinePipeline, LdpcBlockProducesKey) {
   EXPECT_GT(outcome.efficiency, 1.0);
 }
 
-TEST(OfflinePipeline, CascadeBlockProducesKey) {
+TEST(SimulatedBlock, CascadeBlockProducesKey) {
   Xoshiro256 rng(11);
-  OfflineConfig config = metro_config();
-  config.method = protocol::ReconcileMethod::kCascade;
-  config.cascade.passes = 6;
-  OfflinePipeline pipeline(config);
-  const auto outcome = pipeline.process_block(2, rng);
+  const auto outcome =
+      run_block(metro_link(), kMetroPulses, cascade_params(), 2, rng);
   ASSERT_TRUE(outcome.success) << outcome.abort_reason;
   EXPECT_GT(outcome.final_key_bits, 0u);
   EXPECT_GT(outcome.reconcile_rounds, 10u);  // cascade chats a lot
 }
 
-TEST(OfflinePipeline, CascadeBeatsLdpcOnEfficiency) {
+TEST(SimulatedBlock, CascadeBeatsLdpcOnEfficiency) {
   Xoshiro256 rng_a(12), rng_b(12);
-  OfflineConfig ldpc_config = metro_config();
-  OfflineConfig cascade_config = metro_config();
-  cascade_config.method = protocol::ReconcileMethod::kCascade;
-  cascade_config.cascade.passes = 6;
-  const auto ldpc = OfflinePipeline(ldpc_config).process_block(3, rng_a);
+  const auto ldpc = run_block(metro_link(), kMetroPulses, {}, 3, rng_a);
   const auto cascade =
-      OfflinePipeline(cascade_config).process_block(3, rng_b);
+      run_block(metro_link(), kMetroPulses, cascade_params(), 3, rng_b);
   ASSERT_TRUE(ldpc.success);
   ASSERT_TRUE(cascade.success);
   EXPECT_LT(cascade.efficiency, ldpc.efficiency);
 }
 
-TEST(OfflinePipeline, EveTriggersQberAbort) {
+TEST(SimulatedBlock, EveTriggersQberAbort) {
   Xoshiro256 rng(13);
-  OfflineConfig config = metro_config();
-  config.link.eve.intercept_fraction = 1.0;
-  config.pulses_per_block = 1 << 18;
-  OfflinePipeline pipeline(config);
-  const auto outcome = pipeline.process_block(4, rng);
+  sim::LinkConfig link = metro_link();
+  link.eve.intercept_fraction = 1.0;
+  const auto outcome = run_block(link, std::size_t{1} << 18, {}, 4, rng);
   EXPECT_FALSE(outcome.success);
   EXPECT_EQ(outcome.abort_reason, "qber above abort threshold");
   EXPECT_EQ(outcome.final_key_bits, 0u);
 }
 
-TEST(OfflinePipeline, PartialEveStillCaught) {
+TEST(SimulatedBlock, PartialEveStillCaught) {
   // 40% interception pushes QBER to ~10% + misalignment: above threshold.
   Xoshiro256 rng(14);
-  OfflineConfig config = metro_config();
-  config.link.eve.intercept_fraction = 0.45;
-  config.pulses_per_block = 1 << 18;
-  OfflinePipeline pipeline(config);
-  const auto outcome = pipeline.process_block(5, rng);
+  sim::LinkConfig link = metro_link();
+  link.eve.intercept_fraction = 0.45;
+  const auto outcome = run_block(link, std::size_t{1} << 18, {}, 5, rng);
   EXPECT_FALSE(outcome.success);
 }
 
-TEST(OfflinePipeline, TinyBlockAborts) {
+TEST(SimulatedBlock, TinyBlockAborts) {
   Xoshiro256 rng(15);
-  OfflineConfig config = metro_config();
-  config.pulses_per_block = 1000;  // ~20 detections: nothing to work with
-  OfflinePipeline pipeline(config);
-  const auto outcome = pipeline.process_block(6, rng);
+  // ~20 detections: nothing to work with.
+  const auto outcome = run_block(metro_link(), 1000, {}, 6, rng);
   EXPECT_FALSE(outcome.success);
   EXPECT_FALSE(outcome.abort_reason.empty());
 }
 
-TEST(OfflinePipeline, LongHaulHasLowerSkr) {
+TEST(SimulatedBlock, LongHaulHasLowerSkr) {
   Xoshiro256 rng_a(16), rng_b(16);
-  OfflineConfig near_config = metro_config();
-  near_config.link.channel.length_km = 10.0;
-  OfflineConfig far_config = metro_config();
-  far_config.link.channel.length_km = 60.0;
+  sim::LinkConfig near_link = metro_link();
+  near_link.channel.length_km = 10.0;
+  sim::LinkConfig far_link = metro_link();
+  far_link.channel.length_km = 60.0;
+  const auto near_outcome = run_block(near_link, kMetroPulses, {}, 7, rng_a);
   // Long haul needs bigger blocks or the finite-key penalty on the small
   // reconciled key eats the whole secret (realistic behaviour).
-  far_config.pulses_per_block = 1 << 22;
-  const auto near_outcome =
-      OfflinePipeline(near_config).process_block(7, rng_a);
   const auto far_outcome =
-      OfflinePipeline(far_config).process_block(7, rng_b);
+      run_block(far_link, std::size_t{1} << 22, {}, 7, rng_b);
   ASSERT_TRUE(near_outcome.success);
   ASSERT_TRUE(far_outcome.success);
   EXPECT_GT(near_outcome.skr_per_pulse(), 2 * far_outcome.skr_per_pulse());
 }
 
-TEST(OfflinePipeline, DeterministicGivenSeed) {
-  OfflineConfig config = metro_config();
-  config.pulses_per_block = 1 << 19;
+TEST(SimulatedBlock, DeterministicGivenSeed) {
   Xoshiro256 rng_a(17), rng_b(17);
-  const auto a = OfflinePipeline(config).process_block(8, rng_a);
-  const auto b = OfflinePipeline(config).process_block(8, rng_b);
+  const auto a = run_block(metro_link(), std::size_t{1} << 19, {}, 8, rng_a);
+  const auto b = run_block(metro_link(), std::size_t{1} << 19, {}, 8, rng_b);
   ASSERT_EQ(a.success, b.success);
   EXPECT_EQ(a.final_key, b.final_key);
   EXPECT_EQ(a.leak_ec_bits, b.leak_ec_bits);
 }
 
-TEST(OfflinePipeline, StageTimingsPopulated) {
+TEST(SimulatedBlock, StageTimingsPopulated) {
   Xoshiro256 rng(18);
-  OfflinePipeline pipeline(metro_config());
-  const auto outcome = pipeline.process_block(9, rng);
+  const auto outcome = run_block(metro_link(), kMetroPulses, {}, 9, rng);
   ASSERT_TRUE(outcome.success);
-  EXPECT_GT(outcome.timings.simulate, 0.0);
   EXPECT_GT(outcome.timings.sift, 0.0);
   EXPECT_GT(outcome.timings.reconcile, 0.0);
   EXPECT_GT(outcome.timings.amplify, 0.0);
   EXPECT_GT(outcome.timings.post_processing_total(),
             outcome.timings.sift);
-}
-
-TEST(OfflinePipeline, InvalidConfigRejected) {
-  OfflineConfig config = metro_config();
-  config.pe_fraction = 0.0;
-  EXPECT_THROW(OfflinePipeline{config}, std::invalid_argument);
-  config = metro_config();
-  config.pulses_per_block = 0;
-  EXPECT_THROW(OfflinePipeline{config}, std::invalid_argument);
-  config = metro_config();
-  config.link.detector.efficiency = 2.0;
-  EXPECT_THROW(OfflinePipeline{config}, Error);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "engine/sim_adapter.hpp"
 #include "protocol/faulty_channel.hpp"
 #include "protocol/reliable_channel.hpp"
 #include "sim/bb84.hpp"
@@ -20,30 +21,16 @@
 namespace qkdpp::pipeline {
 namespace {
 
-struct LinkData {
-  protocol::AliceTransmitLog alice_log;
-  BobDetections bob;
-};
+using engine::BlockInput;
+using engine::PostprocessParams;
 
-LinkData simulate_link(double km, std::uint64_t seed, std::size_t pulses) {
+/// Block 1 of a simulated link.
+BlockInput simulate_link(double km, std::uint64_t seed, std::size_t pulses) {
   sim::LinkConfig link;
   link.channel.length_km = km;
   Xoshiro256 rng(seed);
-  const auto record = sim::Bb84Simulator(link).run(pulses, rng);
-  LinkData data;
-  data.alice_log = {record.alice_bits, record.alice_bases,
-                    record.alice_signal};
-  data.bob.block_id = 1;
-  data.bob.n_pulses = record.n_pulses;
-  data.bob.detected_idx = record.detected_idx;
-  data.bob.bits = record.bob_bits;
-  data.bob.bases = record.bob_bases;
-  return data;
-}
-
-SessionConfig metro_session_config() {
-  SessionConfig config;
-  return config;
+  const sim::Bb84Simulator simulator(link);
+  return engine::make_block_input(simulator.run(pulses, rng), 1);
 }
 
 struct ChaosRun {
@@ -54,7 +41,8 @@ struct ChaosRun {
 /// Run one session with `profile` injected under the ARQ layer on both
 /// directions. The fault and jitter seeds are fixed per run index so a
 /// repeat with the same arguments replays the same injected pattern.
-ChaosRun run_chaos_session(const LinkData& data, const SessionConfig& config,
+ChaosRun run_chaos_session(const BlockInput& input,
+                           const PostprocessParams& params,
                            const protocol::FaultProfile& profile,
                            const protocol::RetryPolicy& retry,
                            std::uint64_t fault_seed) {
@@ -70,14 +58,14 @@ ChaosRun run_chaos_session(const LinkData& data, const SessionConfig& config,
 
   auto alice_future = std::async(std::launch::async, [&] {
     Xoshiro256 rng(777);
-    auto r = run_alice_session(alice_channel, data.alice_log, 1, config, rng);
+    auto r = run_alice_session(alice_channel, input.log, 1, params, rng);
     // Close inside the task: close() lingers to retransmit an unacked
     // final frame while the peer is still listening.
     alice_channel.close();
     return r;
   });
   ChaosRun run;
-  run.bob = run_bob_session(bob_channel, data.bob, config);
+  run.bob = run_bob_session(bob_channel, input.report, input.bob_bits, params);
   bob_channel.close();
   run.alice = alice_future.get();
   return run;
@@ -88,8 +76,8 @@ TEST(SessionChaos, LossyChannelHealsToCleanChannelKeys) {
   // Cascade: hundreds of parity round-trips, so the lossy profile is
   // statistically guaranteed to hit the wire many times (an LDPC session
   // is ~a dozen frames — a zero-fault run would be a coin flip away).
-  SessionConfig config = metro_session_config();
-  config.method = protocol::ReconcileMethod::kCascade;
+  PostprocessParams params;
+  params.method = protocol::ReconcileMethod::kCascade;
   const protocol::RetryPolicy retry;
   // The clean run asserts zero retransmits, which holds only if no receive
   // wait times out: its retransmit timer sits far above scheduler noise, so
@@ -102,7 +90,7 @@ TEST(SessionChaos, LossyChannelHealsToCleanChannelKeys) {
   // Reference: the same block over a fault-free stack (ARQ still in the
   // path, so framing overhead is identical — only the faults differ).
   const ChaosRun clean =
-      run_chaos_session(data, config, protocol::FaultProfile{}, patient, 40);
+      run_chaos_session(data, params, protocol::FaultProfile{}, patient, 40);
   ASSERT_TRUE(clean.alice.success) << clean.alice.abort_reason;
   ASSERT_TRUE(clean.bob.success) << clean.bob.abort_reason;
   ASSERT_EQ(clean.alice.final_key, clean.bob.final_key);
@@ -113,7 +101,7 @@ TEST(SessionChaos, LossyChannelHealsToCleanChannelKeys) {
   lossy.corrupt = 0.01;
   lossy.duplicate = 0.02;
   lossy.reorder = 0.02;
-  const ChaosRun chaotic = run_chaos_session(data, config, lossy, retry, 41);
+  const ChaosRun chaotic = run_chaos_session(data, params, lossy, retry, 41);
   ASSERT_TRUE(chaotic.alice.success) << chaotic.alice.abort_reason;
   ASSERT_TRUE(chaotic.bob.success) << chaotic.bob.abort_reason;
 
@@ -131,15 +119,15 @@ TEST(SessionChaos, LossyChannelHealsToCleanChannelKeys) {
 
 TEST(SessionChaos, SameSeedFaultRunsProduceIdenticalKeys) {
   const auto data = simulate_link(25.0, 301, 1 << 19);
-  const SessionConfig config = metro_session_config();
+  const PostprocessParams params;
   const protocol::RetryPolicy retry;
   protocol::FaultProfile lossy;
   lossy.drop = 0.08;
   lossy.corrupt = 0.02;
   lossy.reorder = 0.03;
 
-  const ChaosRun first = run_chaos_session(data, config, lossy, retry, 70);
-  const ChaosRun second = run_chaos_session(data, config, lossy, retry, 70);
+  const ChaosRun first = run_chaos_session(data, params, lossy, retry, 70);
+  const ChaosRun second = run_chaos_session(data, params, lossy, retry, 70);
   ASSERT_TRUE(first.alice.success) << first.alice.abort_reason;
   ASSERT_TRUE(second.alice.success) << second.alice.abort_reason;
   EXPECT_EQ(first.alice.final_key, second.alice.final_key);
@@ -149,7 +137,7 @@ TEST(SessionChaos, SameSeedFaultRunsProduceIdenticalKeys) {
 
 TEST(SessionChaos, ChannelOutageIsTypedAbortOnBothSides) {
   const auto data = simulate_link(25.0, 302, 1 << 18);
-  const SessionConfig config = metro_session_config();
+  const PostprocessParams params;
   protocol::FaultProfile dead;
   dead.drop = 1.0;  // nothing crosses, in either direction
   protocol::RetryPolicy retry;
@@ -157,7 +145,7 @@ TEST(SessionChaos, ChannelOutageIsTypedAbortOnBothSides) {
   retry.base_timeout = std::chrono::microseconds{500};
   retry.exchange_deadline = std::chrono::milliseconds{300};
 
-  const ChaosRun run = run_chaos_session(data, config, dead, retry, 90);
+  const ChaosRun run = run_chaos_session(data, params, dead, retry, 90);
   // Both sides abort with a *typed* fault — no hang, no unwound exception,
   // no key material on either end.
   EXPECT_FALSE(run.alice.success);

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -26,51 +28,43 @@
 namespace qkdpp::pipeline {
 namespace {
 
-struct LinkData {
-  protocol::AliceTransmitLog alice_log;
-  BobDetections bob;
-};
+using engine::BlockInput;
+using engine::PostprocessParams;
 
-LinkData simulate_link(double km, std::uint64_t seed, std::size_t pulses,
-                       double intercept = 0.0) {
+/// Block 1 of a simulated link.
+BlockInput simulate_link(double km, std::uint64_t seed, std::size_t pulses,
+                         double intercept = 0.0) {
   sim::LinkConfig link;
   link.channel.length_km = km;
   link.eve.intercept_fraction = intercept;
   Xoshiro256 rng(seed);
-  const auto record = sim::Bb84Simulator(link).run(pulses, rng);
-  LinkData data;
-  data.alice_log = {record.alice_bits, record.alice_bases,
-                    record.alice_signal};
-  data.bob.block_id = 1;
-  data.bob.n_pulses = record.n_pulses;
-  data.bob.detected_idx = record.detected_idx;
-  data.bob.bits = record.bob_bits;
-  data.bob.bases = record.bob_bases;
-  return data;
+  const sim::Bb84Simulator simulator(link);
+  return engine::make_block_input(simulator.run(pulses, rng), 1);
+}
+
+SessionResult run_bob(protocol::ClassicalChannel& channel,
+                      const BlockInput& input,
+                      const PostprocessParams& params) {
+  return run_bob_session(channel, input.report, input.bob_bits, params);
 }
 
 std::pair<SessionResult, SessionResult> run_session(
-    const LinkData& data, const SessionConfig& config,
+    const BlockInput& input, const PostprocessParams& params,
     protocol::ClassicalChannel& alice_channel,
     protocol::ClassicalChannel& bob_channel, std::uint64_t alice_seed = 777) {
   auto alice_future = std::async(std::launch::async, [&] {
     Xoshiro256 rng(alice_seed);
-    return run_alice_session(alice_channel, data.alice_log, 1, config, rng);
+    return run_alice_session(alice_channel, input.log, 1, params, rng);
   });
-  const SessionResult bob = run_bob_session(bob_channel, data.bob, config);
+  const SessionResult bob = run_bob(bob_channel, input, params);
   const SessionResult alice = alice_future.get();
   return {alice, bob};
-}
-
-SessionConfig metro_session_config() {
-  SessionConfig config;
-  return config;
 }
 
 TEST(Session, LdpcProducesIdenticalKeys) {
   const auto data = simulate_link(25.0, 100, 1 << 20);
   auto [alice_channel, bob_channel] = protocol::make_channel_pair();
-  const auto [alice, bob] = run_session(data, metro_session_config(),
+  const auto [alice, bob] = run_session(data, PostprocessParams{},
                                         *alice_channel, *bob_channel);
   ASSERT_TRUE(alice.success) << alice.abort_reason;
   ASSERT_TRUE(bob.success) << bob.abort_reason;
@@ -84,11 +78,11 @@ TEST(Session, LdpcProducesIdenticalKeys) {
 
 TEST(Session, CascadeProducesIdenticalKeys) {
   const auto data = simulate_link(25.0, 101, 1 << 20);
-  SessionConfig config = metro_session_config();
-  config.method = protocol::ReconcileMethod::kCascade;
+  PostprocessParams params;
+  params.method = protocol::ReconcileMethod::kCascade;
   auto [alice_channel, bob_channel] = protocol::make_channel_pair();
   const auto [alice, bob] =
-      run_session(data, config, *alice_channel, *bob_channel);
+      run_session(data, params, *alice_channel, *bob_channel);
   ASSERT_TRUE(alice.success) << alice.abort_reason;
   ASSERT_TRUE(bob.success) << bob.abort_reason;
   EXPECT_EQ(alice.final_key, bob.final_key);
@@ -111,7 +105,7 @@ TEST(Session, AuthenticatedChannelEndToEnd) {
                                                alice_send, alice_recv);
   protocol::AuthenticatedChannel bob_channel(std::move(raw_bob), bob_send,
                                              bob_recv);
-  const auto [alice, bob] = run_session(data, metro_session_config(),
+  const auto [alice, bob] = run_session(data, PostprocessParams{},
                                         alice_channel, bob_channel);
   ASSERT_TRUE(alice.success) << alice.abort_reason;
   ASSERT_TRUE(bob.success) << bob.abort_reason;
@@ -125,7 +119,7 @@ TEST(Session, AuthenticatedChannelEndToEnd) {
 TEST(Session, InterceptResendAbortsBothSides) {
   const auto data = simulate_link(10.0, 103, 1 << 18, /*intercept=*/1.0);
   auto [alice_channel, bob_channel] = protocol::make_channel_pair();
-  const auto [alice, bob] = run_session(data, metro_session_config(),
+  const auto [alice, bob] = run_session(data, PostprocessParams{},
                                         *alice_channel, *bob_channel);
   EXPECT_FALSE(alice.success);
   EXPECT_FALSE(bob.success);
@@ -157,13 +151,12 @@ TEST(Session, TamperedChannelDetectedByAuthentication) {
 
   auto alice_future = std::async(std::launch::async, [&] {
     Xoshiro256 rng(777);
-    auto r = run_alice_session(alice_channel, data.alice_log, 1,
-                               metro_session_config(), rng);
+    auto r = run_alice_session(alice_channel, data.log, 1,
+                               PostprocessParams{}, rng);
     alice_channel.close();
     return r;
   });
-  const auto bob =
-      run_bob_session(bob_channel, data.bob, metro_session_config());
+  const auto bob = run_bob(bob_channel, data, PostprocessParams{});
   bob_channel.close();
   const auto alice = alice_future.get();
 
@@ -195,7 +188,7 @@ TEST(Session, TamperedChannelDetectedByAuthentication) {
 TEST(Session, ShortBlockAbortsGracefully) {
   const auto data = simulate_link(25.0, 105, 2000);  // ~40 detections
   auto [alice_channel, bob_channel] = protocol::make_channel_pair();
-  const auto [alice, bob] = run_session(data, metro_session_config(),
+  const auto [alice, bob] = run_session(data, PostprocessParams{},
                                         *alice_channel, *bob_channel);
   EXPECT_FALSE(alice.success);
   EXPECT_FALSE(bob.success);
@@ -206,7 +199,7 @@ TEST(Session, ShortBlockAbortsGracefully) {
 TEST(Session, ChannelAccountingConsistent) {
   const auto data = simulate_link(25.0, 106, 1 << 19);
   auto [alice_channel, bob_channel] = protocol::make_channel_pair();
-  const auto [alice, bob] = run_session(data, metro_session_config(),
+  const auto [alice, bob] = run_session(data, PostprocessParams{},
                                         *alice_channel, *bob_channel);
   ASSERT_TRUE(alice.success);
   EXPECT_EQ(alice.channel.messages_sent, bob.channel.messages_received);
@@ -219,7 +212,7 @@ TEST(Session, LatencyModelAccumulatesVirtualTime) {
   protocol::ChannelModel model;
   model.latency_s = 0.001;
   auto [alice_channel, bob_channel] = protocol::make_channel_pair(model);
-  const auto [alice, bob] = run_session(data, metro_session_config(),
+  const auto [alice, bob] = run_session(data, PostprocessParams{},
                                         *alice_channel, *bob_channel);
   ASSERT_TRUE(alice.success);
   EXPECT_GT(alice.channel.virtual_time_s, 0.0);
@@ -230,11 +223,11 @@ TEST(Session, LatencyModelAccumulatesVirtualTime) {
 
 TEST(Session, DifferentAliceSeedsGiveDifferentKeys) {
   const auto data = simulate_link(25.0, 108, 1 << 19);
-  SessionConfig config = metro_session_config();
+  const PostprocessParams params;
   auto [c1a, c1b] = protocol::make_channel_pair();
-  const auto [alice1, bob1] = run_session(data, config, *c1a, *c1b, 1);
+  const auto [alice1, bob1] = run_session(data, params, *c1a, *c1b, 1);
   auto [c2a, c2b] = protocol::make_channel_pair();
-  const auto [alice2, bob2] = run_session(data, config, *c2a, *c2b, 2);
+  const auto [alice2, bob2] = run_session(data, params, *c2a, *c2b, 2);
   ASSERT_TRUE(alice1.success) << alice1.abort_reason;
   ASSERT_TRUE(alice2.success) << alice2.abort_reason;
   // Same raw data, different sampling/seeds -> different final keys.
@@ -257,9 +250,9 @@ class SessionMatchesEngine : public ::testing::TestWithParam<EngineMatchCase> {
 
 TEST_P(SessionMatchesEngine, BothPeersEndWithTheEngineKey) {
   const EngineMatchCase& param = GetParam();
-  SessionConfig config;
-  config.method = param.method;
-  engine::PostprocessEngine engine(config, engine::EngineOptions::cpu_only());
+  PostprocessParams params;
+  params.method = param.method;
+  engine::PostprocessEngine engine(params, engine::EngineOptions::cpu_only());
   sim::LinkConfig link;
   link.channel.length_km = param.km;
   link.channel.misalignment = param.misalignment;
@@ -272,26 +265,20 @@ TEST_P(SessionMatchesEngine, BothPeersEndWithTheEngineKey) {
   constexpr std::uint64_t kBlocks = 6;
   std::uint64_t distilled = 0;
   for (std::uint64_t block_id = 1; block_id <= kBlocks; ++block_id) {
-    const auto record = simulator.run(pulses, link_rng);
-    const engine::BlockInput input = engine::make_block_input(record, block_id);
+    const BlockInput input =
+        engine::make_block_input(simulator.run(pulses, link_rng), block_id);
     const std::uint64_t rng_seed = 500 + block_id;
     Xoshiro256 engine_rng(rng_seed);
     const engine::BlockOutcome expected =
         engine.process_block(input, block_id, engine_rng);
 
-    BobDetections bob_view;
-    bob_view.block_id = block_id;
-    bob_view.n_pulses = record.n_pulses;
-    bob_view.detected_idx = record.detected_idx;
-    bob_view.bits = record.bob_bits;
-    bob_view.bases = record.bob_bases;
     auto [alice_channel, bob_channel] = protocol::make_channel_pair();
     auto alice_future = std::async(std::launch::async, [&] {
       Xoshiro256 rng(rng_seed);
-      return run_alice_session(*alice_channel, input.log, block_id, config,
+      return run_alice_session(*alice_channel, input.log, block_id, params,
                                rng);
     });
-    const SessionResult bob = run_bob_session(*bob_channel, bob_view, config);
+    const SessionResult bob = run_bob(*bob_channel, input, params);
     const SessionResult alice = alice_future.get();
 
     EXPECT_EQ(alice.success, expected.success)
@@ -301,6 +288,11 @@ TEST_P(SessionMatchesEngine, BothPeersEndWithTheEngineKey) {
         << "block " << block_id << ": " << bob.abort_reason << " vs "
         << expected.abort_reason;
     EXPECT_EQ(alice.sifted_bits, expected.sifted_bits) << "block " << block_id;
+    EXPECT_EQ(bob.sifted_bits, expected.sifted_bits) << "block " << block_id;
+    EXPECT_EQ(alice.key_candidate_bits, expected.key_candidate_bits)
+        << "block " << block_id;
+    EXPECT_EQ(bob.key_candidate_bits, expected.key_candidate_bits)
+        << "block " << block_id;
     if (!expected.success) continue;
     ++distilled;
     EXPECT_EQ(alice.final_key, expected.final_key) << "block " << block_id;
@@ -329,18 +321,23 @@ INSTANTIATE_TEST_SUITE_P(
                         protocol::ReconcileMethod::kCascade, 40000.0}),
     [](const auto& info) { return std::string(info.param.name); });
 
-// Bob's end of a channel pair with Alice's PaParams rewritten in flight to
-// announce `out_len` output bits; every other frame passes untouched.
-class PaLengthRewriter final : public protocol::ClassicalChannel {
+/// An in-flight edit of a message one channel end receives.
+using MessageEdit = std::function<void(protocol::Message&)>;
+
+// One end of a channel pair whose incoming messages pass through `edit`
+// before the session reads them; outgoing frames pass untouched.
+class InboundRewriter final : public protocol::ClassicalChannel {
  public:
-  PaLengthRewriter(protocol::ClassicalChannel& inner, std::uint64_t out_len)
-      : inner_(inner), out_len_(out_len) {}
+  InboundRewriter(protocol::ClassicalChannel& inner, MessageEdit edit)
+      : inner_(inner), edit_(std::move(edit)) {}
 
   void send(std::vector<std::uint8_t> frame) override {
     inner_.send(std::move(frame));
   }
   std::vector<std::uint8_t> receive() override {
-    return rewrite(inner_.receive());
+    protocol::Message message = protocol::decode_message(inner_.receive());
+    edit_(message);
+    return protocol::encode_message(message);
   }
   void close() override { inner_.close(); }
   protocol::ChannelCounters counters() const override {
@@ -348,16 +345,8 @@ class PaLengthRewriter final : public protocol::ClassicalChannel {
   }
 
  private:
-  std::vector<std::uint8_t> rewrite(std::vector<std::uint8_t> frame) const {
-    protocol::Message message = protocol::decode_message(frame);
-    auto* pa = std::get_if<protocol::PaParams>(&message);
-    if (pa == nullptr) return frame;
-    pa->out_len = out_len_;
-    return protocol::encode_message(message);
-  }
-
   protocol::ClassicalChannel& inner_;
-  std::uint64_t out_len_;
+  MessageEdit edit_;
 };
 
 // Bob hashes to the length Alice announces, so he must check it: 0 would
@@ -369,9 +358,15 @@ class HostilePaLength : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(HostilePaLength, BobEndsWithTypedProtocolFault) {
   const auto data = simulate_link(25.0, 100, 1 << 20);
   auto [alice_channel, bob_channel] = protocol::make_channel_pair();
-  PaLengthRewriter bob_end(*bob_channel, GetParam());
+  const std::uint64_t out_len = GetParam();
+  const MessageEdit set_out_len = [out_len](protocol::Message& message) {
+    if (auto* pa = std::get_if<protocol::PaParams>(&message)) {
+      pa->out_len = out_len;
+    }
+  };
+  InboundRewriter bob_end(*bob_channel, set_out_len);
   const auto [alice, bob] =
-      run_session(data, metro_session_config(), *alice_channel, bob_end);
+      run_session(data, PostprocessParams{}, *alice_channel, bob_end);
   EXPECT_FALSE(alice.success);
   EXPECT_FALSE(bob.success);
   ASSERT_TRUE(bob.fault_code.has_value()) << bob.abort_reason;
@@ -387,8 +382,55 @@ INSTANTIATE_TEST_SUITE_P(OutLen, HostilePaLength,
                                                   : std::string("Huge");
                          });
 
-// Reconcile-stage fields a hostile Alice can put on the wire.
+// The peer whose KeyConfirm check fails has already hashed its key: it
+// must end with a typed protocol fault and no key. The other peer's check
+// passes, which shows the block got as far as a key.
+enum class ConfirmVictim { kAlice, kBob };
+
+class KeyConfirmMismatch : public ::testing::TestWithParam<ConfirmVictim> {};
+
+TEST_P(KeyConfirmMismatch, FailingPeerHoldsNoKey) {
+  const auto data = simulate_link(10.0, 7, 1 << 20);
+  auto [alice_channel, bob_channel] = protocol::make_channel_pair();
+  const MessageEdit flip_crc = [](protocol::Message& message) {
+    if (auto* confirm = std::get_if<protocol::KeyConfirm>(&message)) {
+      confirm->crc ^= 1;
+    }
+  };
+  const MessageEdit keep = [](protocol::Message&) {};
+  const bool alice_victim = GetParam() == ConfirmVictim::kAlice;
+  InboundRewriter alice_end(*alice_channel, alice_victim ? flip_crc : keep);
+  InboundRewriter bob_end(*bob_channel, alice_victim ? keep : flip_crc);
+  const auto [alice, bob] =
+      run_session(data, PostprocessParams{}, alice_end, bob_end);
+  const SessionResult& victim = alice_victim ? alice : bob;
+  const SessionResult& peer = alice_victim ? bob : alice;
+
+  ASSERT_TRUE(peer.success) << peer.abort_reason;
+  EXPECT_FALSE(peer.final_key.empty());
+  EXPECT_FALSE(victim.success);
+  ASSERT_TRUE(victim.fault_code.has_value()) << victim.abort_reason;
+  EXPECT_EQ(*victim.fault_code, ErrorCode::kProtocol);
+  EXPECT_NE(victim.abort_reason.find("key confirmation mismatch"),
+            std::string::npos)
+      << victim.abort_reason;
+  EXPECT_TRUE(victim.final_key.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Victim, KeyConfirmMismatch,
+                         ::testing::Values(ConfirmVictim::kAlice,
+                                           ConfirmVictim::kBob),
+                         [](const auto& info) {
+                           return info.param == ConfirmVictim::kAlice
+                                      ? std::string("Alice")
+                                      : std::string("Bob");
+                         });
+
+// Fields a hostile Alice can put on the wire.
 enum class HostileField {
+  kKeepMaskShort,      // SiftResult keep mask one bit short of the clicks
+  kSignalMaskShort,    // SiftResult signal mask one bit short of the kept bits
+  kPePositionPastKey,  // PeReveal position equal to the sifted length
   kNoPayloadPlan,      // n_punctured + n_shortened == n: zero payload bits
   kShortSyndrome,      // last frame's syndrome one bit shorter than code.m()
   kBlindShape,         // BlindResponse with more positions than values
@@ -400,10 +442,10 @@ enum class HostileField {
   kPunctureExceedsSyndrome,  // n_punctured = m + 1: the m - d leak wraps
 };
 
-// A scripted Alice: honest through sifting and estimation, then streams a
-// whole block's ReconcileStarts carrying the hostile field. Bob must end
-// the session with a typed protocol fault instead of crashing or leaking
-// an untyped exception.
+// A scripted Alice: a sifting or estimation field is hostile, or she is
+// honest through both and then streams a whole block's ReconcileStarts
+// carrying the hostile field. Bob must end the session with a typed
+// protocol fault instead of crashing or leaking an untyped exception.
 class HostileAlice : public ::testing::TestWithParam<HostileField> {};
 
 TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
@@ -421,8 +463,25 @@ TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
       return protocol::decode_message(ch.receive());
     };
     const auto report = std::get<protocol::DetectionReport>(receive());
-    const auto sift = protocol::sift_alice(data.alice_log, report);
+    auto sift = protocol::sift_alice(data.log, report);
+    if (field == HostileField::kKeepMaskShort) {
+      sift.result.keep_mask.resize(sift.result.keep_mask.size() - 1);
+    } else if (field == HostileField::kSignalMaskShort) {
+      sift.result.signal_mask.resize(sift.result.signal_mask.size() - 1);
+    }
     send(sift.result);
+    if (field == HostileField::kKeepMaskShort ||
+        field == HostileField::kSignalMaskShort) {
+      return;
+    }
+    if (field == HostileField::kPePositionPastKey) {
+      protocol::PeReveal reveal;
+      reveal.block_id = 1;
+      reveal.positions = {static_cast<std::uint32_t>(sift.sifted_key.size())};
+      reveal.alice_bits = BitVec(1);
+      send(reveal);
+      return;
+    }
     send(protocol::PeReveal{1, {}, {}});  // reveal nothing: all key
     (void)std::get<protocol::PeReport>(receive());
     send(protocol::PeVerdict{1, true, 0.02, 0.03});
@@ -511,8 +570,7 @@ TEST_P(HostileAlice, BobEndsWithTypedProtocolFault) {
     ch.close();
   });
 
-  const SessionResult bob =
-      run_bob_session(*bob_channel, data.bob, metro_session_config());
+  const SessionResult bob = run_bob(*bob_channel, data, PostprocessParams{});
   alice.get();
   EXPECT_FALSE(bob.success);
   ASSERT_TRUE(bob.fault_code.has_value()) << bob.abort_reason;
@@ -529,6 +587,11 @@ INSTANTIATE_TEST_SUITE_P(
                       HostileField::kUnaskedFrame,
                       HostileField::kPunctureExceedsSyndrome));
 
+INSTANTIATE_TEST_SUITE_P(SiftAndEstimateFields, HostileAlice,
+                         ::testing::Values(HostileField::kKeepMaskShort,
+                                           HostileField::kSignalMaskShort,
+                                           HostileField::kPePositionPastKey));
+
 // Fields a hostile Bob can put on the wire.
 enum class HostileRequest {
   kPass,        // Cascade: pass 99, Alice derived only cascade.passes
@@ -538,14 +601,19 @@ enum class HostileRequest {
   kBlindFrame,  // LDPC: blind request for frame `frames`, past the block
   kDoneCount,   // LDPC: ReconcileDone with one outcome too many
   kIndexCount,  // raw DetectionReport frame claiming 2^62 indices
+  kWrongBlock,  // DetectionReport for block 2
+  kIndexOrder,  // first two detection indices swapped
+  kIndexRange,  // last detection index equal to the pulse count
+  kShortBases,  // one basis fewer than detection indices
+  kPeReport,    // PeReport one bit short of the revealed positions
 };
 
-// A scripted Bob: honest through sifting and estimation and through the
-// block's ReconcileStarts, then sends one hostile request. Alice must end
-// the session with a typed protocol fault instead of letting a
-// precondition of the parity responder or the frame senders escape
-// untyped. A frame that does not parse at all is a typed serialization
-// fault.
+// A scripted Bob: a sifting or estimation field is hostile, or he is
+// honest through both and through the block's ReconcileStarts, then sends
+// one hostile request. Alice must end the session with a typed protocol
+// fault instead of letting a precondition of the sifter, the parity
+// responder or the frame senders escape untyped. A frame that does not
+// parse at all is a typed serialization fault.
 class HostileBob : public ::testing::TestWithParam<HostileRequest> {};
 
 TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
@@ -554,11 +622,11 @@ TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
                                  ? ErrorCode::kSerialization
                                  : ErrorCode::kProtocol;
   const auto data = simulate_link(25.0, 110, 1 << 19);
-  SessionConfig config = metro_session_config();
+  PostprocessParams params;
   const bool ldpc = field == HostileRequest::kBlindRound ||
                     field == HostileRequest::kBlindFrame ||
                     field == HostileRequest::kDoneCount;
-  if (!ldpc) config.method = protocol::ReconcileMethod::kCascade;
+  if (!ldpc) params.method = protocol::ReconcileMethod::kCascade;
   auto [alice_channel, bob_channel] = protocol::make_channel_pair();
 
   protocol::ClassicalChannel& ch = *bob_channel;
@@ -569,9 +637,7 @@ TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
     const auto receive = [&ch] {
       return protocol::decode_message(ch.receive());
     };
-    protocol::DetectionReport report;
-    report.block_id = 1;
-    report.n_pulses = data.bob.n_pulses;
+    protocol::DetectionReport report = data.report;
     if (field == HostileRequest::kIndexCount) {
       // The empty report's tag, block id and pulse count (17 bytes), then
       // an index count whose byte size, 4 * 2^62, wraps to 0.
@@ -583,16 +649,42 @@ TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
       ch.send(std::move(frame));
       return;
     }
-    report.detected_idx = data.bob.detected_idx;
-    report.bob_bases = data.bob.bases;
+    switch (field) {
+      case HostileRequest::kWrongBlock:
+        report.block_id = 2;
+        break;
+      case HostileRequest::kIndexOrder:
+        std::swap(report.detected_idx[0], report.detected_idx[1]);
+        break;
+      case HostileRequest::kIndexRange:
+        report.detected_idx.back() =
+            static_cast<std::uint32_t>(report.n_pulses);
+        break;
+      case HostileRequest::kShortBases:
+        report.bob_bases.resize(report.bob_bases.size() - 1);
+        break;
+      default:
+        break;
+    }
     send(report);
+    if (field == HostileRequest::kWrongBlock ||
+        field == HostileRequest::kIndexOrder ||
+        field == HostileRequest::kIndexRange ||
+        field == HostileRequest::kShortBases) {
+      return;
+    }
     const auto sift = std::get<protocol::SiftResult>(receive());
-    const BitVec sifted = protocol::sift_bob(data.bob.bits, sift);
+    const BitVec sifted = protocol::sift_bob(data.bob_bits, sift);
     const auto reveal = std::get<protocol::PeReveal>(receive());
     protocol::PeReport pe_report;
     pe_report.block_id = 1;
     for (const auto p : reveal.positions) {
       pe_report.bob_bits.push_back(sifted.get(p));
+    }
+    if (field == HostileRequest::kPeReport) {
+      pe_report.bob_bits.resize(pe_report.bob_bits.size() - 1);
+      send(pe_report);
+      return;
     }
     send(pe_report);
     if (!std::get<protocol::PeVerdict>(receive()).proceed) {
@@ -656,7 +748,7 @@ TEST_P(HostileBob, AliceEndsWithTypedProtocolFault) {
 
   Xoshiro256 rng(777);
   const SessionResult alice =
-      run_alice_session(*alice_channel, data.alice_log, 1, config, rng);
+      run_alice_session(*alice_channel, data.log, 1, params, rng);
   bob.get();
   EXPECT_FALSE(alice.success);
   ASSERT_TRUE(alice.fault_code.has_value()) << alice.abort_reason;
@@ -672,6 +764,13 @@ INSTANTIATE_TEST_SUITE_P(ReconcileRequests, HostileBob,
                                            HostileRequest::kBlindFrame,
                                            HostileRequest::kDoneCount,
                                            HostileRequest::kIndexCount));
+
+INSTANTIATE_TEST_SUITE_P(SiftAndEstimateFields, HostileBob,
+                         ::testing::Values(HostileRequest::kWrongBlock,
+                                           HostileRequest::kIndexOrder,
+                                           HostileRequest::kIndexRange,
+                                           HostileRequest::kShortBases,
+                                           HostileRequest::kPeReport));
 
 }  // namespace
 }  // namespace qkdpp::pipeline

@@ -74,11 +74,9 @@ TEST(Cascade, CorrectsSingleError) {
   const BitVec alice = rng.random_bits(1024);
   BitVec bob = alice;
   bob.flip(500);
-  CascadeConfig config;
-  config.qber_hint = 0.01;
-  config.seed = 5;
-  LocalParityOracle oracle(alice, config.seed, config.passes);
-  const auto result = cascade_reconcile(bob, oracle, config);
+  const CascadeConfig config{};
+  LocalParityOracle oracle(alice, 5, config.passes);
+  const auto result = cascade_reconcile(bob, oracle, 0.01, 5, config);
   EXPECT_EQ(bob, alice);
   EXPECT_EQ(result.corrected_bits, 1u);
 }
@@ -87,11 +85,9 @@ TEST(Cascade, NoErrorsMeansNoCorrections) {
   Xoshiro256 rng(3);
   const BitVec alice = rng.random_bits(4096);
   BitVec bob = alice;
-  CascadeConfig config;
-  config.qber_hint = 0.02;
-  config.seed = 6;
-  LocalParityOracle oracle(alice, config.seed, config.passes);
-  const auto result = cascade_reconcile(bob, oracle, config);
+  const CascadeConfig config{};
+  LocalParityOracle oracle(alice, 6, config.passes);
+  const auto result = cascade_reconcile(bob, oracle, 0.02, 6, config);
   EXPECT_EQ(bob, alice);
   EXPECT_EQ(result.corrected_bits, 0u);
   // Leakage is just the per-pass block parities.
@@ -104,11 +100,9 @@ TEST(Cascade, AdversarialBurstErrors) {
   BitVec bob = alice;
   for (std::size_t i = 4000; i < 4064; ++i) bob.flip(i);  // 64-bit burst
   CascadeConfig config;
-  config.qber_hint = 64.0 / 8192;
-  config.seed = 7;
   config.passes = 6;
-  LocalParityOracle oracle(alice, config.seed, config.passes);
-  cascade_reconcile(bob, oracle, config);
+  LocalParityOracle oracle(alice, 7, config.passes);
+  cascade_reconcile(bob, oracle, 64.0 / 8192, 7, config);
   EXPECT_EQ(bob, alice);
 }
 
@@ -126,11 +120,9 @@ TEST_P(CascadeSweep, FullyCorrects) {
   BitVec bob = corrupt(alice, q, rng);
 
   CascadeConfig config;
-  config.qber_hint = q;
-  config.seed = 17;
   config.passes = 6;  // generous pass count -> residual FER negligible
-  LocalParityOracle oracle(alice, config.seed, config.passes);
-  const auto result = cascade_reconcile(bob, oracle, config);
+  LocalParityOracle oracle(alice, 17, config.passes);
+  const auto result = cascade_reconcile(bob, oracle, q, 17, config);
   EXPECT_EQ(bob, alice) << "n=" << n << " q=" << q;
   EXPECT_GT(result.leaked_bits, 0u);
 }
@@ -143,11 +135,9 @@ TEST_P(CascadeSweep, EfficiencyEnvelope) {
   BitVec bob = corrupt(alice, q, rng);
 
   CascadeConfig config;
-  config.qber_hint = q;
-  config.seed = 18;
   config.passes = 6;
-  LocalParityOracle oracle(alice, config.seed, config.passes);
-  const auto result = cascade_reconcile(bob, oracle, config);
+  LocalParityOracle oracle(alice, 18, config.passes);
+  const auto result = cascade_reconcile(bob, oracle, q, 18, config);
   ASSERT_EQ(bob, alice);
   const double f = result.efficiency(n, q);
   // Above the Shannon limit, below a loose production ceiling.
@@ -171,11 +161,9 @@ TEST(Cascade, LeakageScalesWithQber) {
   for (const double q : {0.01, 0.03, 0.06}) {
     BitVec bob = corrupt(alice, q, rng);
     CascadeConfig config;
-    config.qber_hint = q;
-    config.seed = 21;
     config.passes = 6;
-    LocalParityOracle oracle(alice, config.seed, config.passes);
-    const auto result = cascade_reconcile(bob, oracle, config);
+    LocalParityOracle oracle(alice, 21, config.passes);
+    const auto result = cascade_reconcile(bob, oracle, q, 21, config);
     ASSERT_EQ(bob, alice);
     EXPECT_GT(result.leaked_bits, previous_leak);
     previous_leak = result.leaked_bits;
@@ -187,11 +175,9 @@ TEST(Cascade, OracleAndEngineAgreeOnAccounting) {
   const std::size_t n = 8192;
   const BitVec alice = rng.random_bits(n);
   BitVec bob = corrupt(alice, 0.03, rng);
-  CascadeConfig config;
-  config.qber_hint = 0.03;
-  config.seed = 23;
-  LocalParityOracle oracle(alice, config.seed, config.passes);
-  const auto result = cascade_reconcile(bob, oracle, config);
+  const CascadeConfig config{};
+  LocalParityOracle oracle(alice, 23, config.passes);
+  const auto result = cascade_reconcile(bob, oracle, 0.03, 23, config);
   EXPECT_EQ(result.leaked_bits, oracle.bits_leaked());
   EXPECT_EQ(result.rounds, oracle.rounds());
 }
@@ -203,12 +189,10 @@ TEST(Cascade, WrongSeedDesynchronizesHarmlessly) {
   const BitVec alice = rng.random_bits(2048);
   BitVec bob = corrupt(alice, 0.02, rng);
   CascadeConfig config;
-  config.qber_hint = 0.02;
-  config.seed = 100;
   config.max_rounds = 2000;  // desync never converges; cap terminates it
   LocalParityOracle oracle(alice, /*seed=*/200, config.passes);  // wrong seed
   CascadeResult result;
-  EXPECT_NO_THROW(result = cascade_reconcile(bob, oracle, config));
+  EXPECT_NO_THROW(result = cascade_reconcile(bob, oracle, 0.02, 100, config));
   EXPECT_FALSE(result.converged);
 }
 
@@ -220,12 +204,10 @@ TEST(Cascade, ConvergedFlagReportsRoundExhaustion) {
   const BitVec alice = rng.random_bits(n);
   BitVec bob = corrupt(alice, 0.05, rng);
   CascadeConfig config;
-  config.qber_hint = 0.05;
-  config.seed = 26;
   config.passes = 6;
   config.max_rounds = 8;  // nowhere near enough for ~200 errors
-  LocalParityOracle oracle(alice, config.seed, config.passes);
-  const auto result = cascade_reconcile(bob, oracle, config);
+  LocalParityOracle oracle(alice, 26, config.passes);
+  const auto result = cascade_reconcile(bob, oracle, 0.05, 26, config);
   EXPECT_FALSE(result.converged);
   EXPECT_NE(bob, alice);
   // Cap checked per batch; one in-flight bisection may overshoot slightly.
@@ -235,8 +217,8 @@ TEST(Cascade, ConvergedFlagReportsRoundExhaustion) {
   BitVec bob_again = corrupt(alice, 0.05, rng);
   CascadeConfig generous = config;
   generous.max_rounds = 100000;
-  LocalParityOracle fresh(alice, generous.seed, generous.passes);
-  const auto ok = cascade_reconcile(bob_again, fresh, generous);
+  LocalParityOracle fresh(alice, 26, generous.passes);
+  const auto ok = cascade_reconcile(bob_again, fresh, 0.05, 26, generous);
   EXPECT_TRUE(ok.converged);
   EXPECT_EQ(bob_again, alice);
 }
@@ -249,15 +231,14 @@ TEST(Cascade, NonConvergenceFailsLocalReconcileOutcome) {
   const BitVec alice = rng.random_bits(4096);
   BitVec bob = corrupt(alice, 0.05, rng);
   CascadeConfig config;
-  config.qber_hint = 0.05;
-  config.seed = 28;
   config.max_rounds = 8;
-  const auto failed = reconcile::cascade_reconcile_local(alice, bob, 0.05,
-                                                         config);
+  const auto failed =
+      reconcile::cascade_reconcile_local(alice, bob, 0.05, 28, config);
   EXPECT_FALSE(failed.success);
 
   config.max_rounds = 100000;
-  const auto ok = reconcile::cascade_reconcile_local(alice, bob, 0.05, config);
+  const auto ok =
+      reconcile::cascade_reconcile_local(alice, bob, 0.05, 28, config);
   EXPECT_TRUE(ok.success);
   EXPECT_EQ(ok.corrected, alice);
 }
@@ -299,16 +280,15 @@ TEST(CascadeDigest, MatchesParentDigest) {
     const BitVec alice = rng.random_bits(dc.n);
     const BitVec bob = corrupt(alice, dc.qber, rng);
     CascadeConfig config;
-    config.qber_hint = dc.qber;
-    config.seed = 77 + c;
     config.passes = dc.passes;
     config.max_rounds = dc.max_rounds;
+    const std::uint64_t seed = 77 + c;
 
     BitVec corrected = bob;
-    const std::uint64_t oracle_seed =
-        dc.wrong_seed ? config.seed + 1 : config.seed;
+    const std::uint64_t oracle_seed = dc.wrong_seed ? seed + 1 : seed;
     LocalParityOracle oracle(alice, oracle_seed, config.passes);
-    const CascadeResult result = cascade_reconcile(corrected, oracle, config);
+    const CascadeResult result =
+        cascade_reconcile(corrected, oracle, dc.qber, seed, config);
     digest = fnv1a(digest, result.rounds);
     digest = fnv1a(digest, result.leaked_bits);
     digest = fnv1a(digest, result.corrected_bits);
@@ -317,7 +297,7 @@ TEST(CascadeDigest, MatchesParentDigest) {
     converged += result.converged ? 1 : 0;
 
     const ReconcileOutcome local =
-        cascade_reconcile_local(alice, bob, dc.qber, config);
+        cascade_reconcile_local(alice, bob, dc.qber, seed, config);
     digest = fnv1a(digest, local.rounds);
     digest = fnv1a(digest, local.leaked_bits);
     digest = fnv1a(digest, local.success ? 1u : 0u);
@@ -350,24 +330,22 @@ TEST(Cascade, ReusedThreadBuffersMatchFreshThread) {
     const BitVec alice = rng.random_bits(shape.n);
     const BitVec bob = corrupt(alice, shape.qber, rng);
     CascadeConfig config;
-    config.qber_hint = shape.qber;
-    config.seed = ++seed;
     config.passes = shape.passes;
-    fill_cascade_permutations(shape.n, config.seed, config.passes,
-                              permutations);
+    fill_cascade_permutations(shape.n, ++seed, config.passes, permutations);
 
     BitVec reused_key = bob;
     LocalParityOracle reused_oracle(alice, permutations);
-    const CascadeResult reused =
-        cascade_reconcile(reused_key, reused_oracle, config, permutations);
+    const CascadeResult reused = cascade_reconcile(
+        reused_key, reused_oracle, shape.qber, config, permutations);
     BitVec fresh_key = bob;
     CascadeResult expected;
     std::thread([&] {
       const CascadePermutations fresh =
-          cascade_permutations(shape.n, config.seed, config.passes);
+          cascade_permutations(shape.n, seed, config.passes);
       EXPECT_EQ(permutations, fresh) << shape.n;
       LocalParityOracle fresh_oracle(alice, fresh);
-      expected = cascade_reconcile(fresh_key, fresh_oracle, config, fresh);
+      expected = cascade_reconcile(fresh_key, fresh_oracle, shape.qber, config,
+                                   fresh);
     }).join();
     EXPECT_EQ(reused_key, fresh_key) << shape.n;
     EXPECT_EQ(reused.leaked_bits, expected.leaked_bits) << shape.n;
@@ -379,9 +357,9 @@ TEST(Cascade, ReusedThreadBuffersMatchFreshThread) {
 
 TEST(Cascade, ThrowsOnEmptyKey) {
   BitVec alice(64), bob;
-  CascadeConfig config;
+  const CascadeConfig config{};
   LocalParityOracle oracle(alice, 0, config.passes);
-  EXPECT_THROW(cascade_reconcile(bob, oracle, config),
+  EXPECT_THROW(cascade_reconcile(bob, oracle, 0.02, 0, config),
                std::invalid_argument);
 }
 

@@ -432,9 +432,9 @@ TEST(CascadeVsLdpc, CascadeLeaksLessButTalksMore) {
   const auto ldpc = reconcile_one_frame(alice, bob, q, plan, 1, ldpc_config,
                                         alice_private);
   CascadeConfig cascade_config;
-  cascade_config.qber_hint = q;
   cascade_config.passes = 6;
-  const auto cascade = cascade_reconcile_local(alice, bob, q, cascade_config);
+  const auto cascade =
+      cascade_reconcile_local(alice, bob, q, /*seed=*/0, cascade_config);
 
   ASSERT_TRUE(ldpc.success);
   ASSERT_EQ(ldpc.corrected, alice);

@@ -57,6 +57,8 @@ TEST(LinkValidate, RejectsBadParameters) {
   bad = default_link();
   bad.detector.efficiency = 0.0;
   expect_config_error(bad);
+  bad.detector.efficiency = 2.0;
+  expect_config_error(bad);
 
   bad = default_link();
   bad.source.p_signal = 0.5;  // probabilities no longer sum to 1
