@@ -1,5 +1,7 @@
 #include "api/dtos.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace qkdpp::api {
@@ -150,26 +152,28 @@ Json Request::to_json() const {
   return json;
 }
 
-Request Request::from_json(const Json& json) {
+Request Request::from_json(Json json) {
   Request request;
   request.method = json.at("method").as_string();
   request.target = json.at("target").as_string();
   request.caller = json.at("caller").as_string();
-  if (const Json* body = json.find("body")) request.body = *body;
+  if (Json* body = json.find("body")) request.body = std::move(*body);
   return request;
 }
 
-Json Response::to_json() const {
+Json Response::to_json() const& { return Response(*this).to_json(); }
+
+Json Response::to_json() && {
   Json json = Json::object();
   json.set("status", std::int64_t{status});
-  json.set("body", body);
+  json.set("body", std::move(body));
   return json;
 }
 
-Response Response::from_json(const Json& json) {
+Response Response::from_json(Json json) {
   Response response;
   response.status = static_cast<int>(json.at("status").as_int());
-  if (const Json* body = json.find("body")) response.body = *body;
+  if (Json* body = json.find("body")) response.body = std::move(*body);
   return response;
 }
 

@@ -122,7 +122,9 @@ struct Request {
   Json body;           ///< null for GET
 
   Json to_json() const;
-  static Request from_json(const Json& json);
+  /// Takes the document by value: a temporary one (from_json(Json::parse(
+  /// text))) hands its body over instead of having it deep-copied.
+  static Request from_json(Json json);
   friend bool operator==(const Request&, const Request&) = default;
 };
 
@@ -133,8 +135,13 @@ struct Response {
 
   bool ok() const noexcept { return status == kStatusOk; }
 
-  Json to_json() const;
-  static Response from_json(const Json& json);
+  Json to_json() const&;
+  /// Moves the body into the envelope: a response serialized as it is
+  /// returned (dispatch(request).to_json().dump()) is never deep-copied.
+  Json to_json() &&;
+  /// By value, like Request::from_json: a temporary document's body is
+  /// moved, not copied.
+  static Response from_json(Json json);
   friend bool operator==(const Response&, const Response&) = default;
 };
 

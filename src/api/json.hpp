@@ -9,15 +9,25 @@
 // tests and logs). Integers are kept distinct from doubles: key/bit
 // counters are 64-bit and must not round-trip through a double mantissa.
 //
-// Parsing failures throw qkdpp::Error{kSerialization} - the same taxonomy
-// the wire-protocol codecs use - and the dispatcher maps them to an
-// HTTP-like 400.
+// An object is one flat vector of (key, value) members kept sorted by key
+// in byte order, one member per key (a repeated key keeps its last value),
+// so a document costs one buffer per object rather than one tree node per
+// field, and lookups binary-search. Strings are copied by runs: the parser
+// and the serializer move every stretch of bytes that needs no escape
+// handling with one append.
+//
+// The parser accepts only well-formed UTF-8 (RFC 8259 section 8.1): an
+// invalid, overlong, truncated or surrogate-encoding byte sequence is
+// rejected like any other malformed input, so a response can never echo
+// text that is not UTF-8. Parsing failures throw
+// qkdpp::Error{kSerialization} - the same taxonomy the wire-protocol codecs
+// use - and the dispatcher maps them to an HTTP-like 400.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -26,11 +36,11 @@ namespace qkdpp::api {
 class Json {
  public:
   using Array = std::vector<Json>;
-  // Sorted keys: dump() output is deterministic regardless of insertion
-  // order, which the round-trip tests rely on. The
-  // transparent comparator lets at()/find() look up by string_view
-  // without materializing a key string per field access.
-  using Object = std::map<std::string, Json, std::less<>>;
+  /// Members sorted by key (std::string's byte order), keys unique: dump()
+  /// output is deterministic regardless of insertion order, which the
+  /// round-trip tests rely on. Only set() and the parser build objects, so
+  /// the order holds by construction.
+  using Object = std::vector<std::pair<std::string, Json>>;
 
   Json() : value_(nullptr) {}
   Json(std::nullptr_t) : value_(nullptr) {}
@@ -43,7 +53,6 @@ class Json {
   Json(std::string_view s) : value_(std::string(s)) {}
   Json(const char* s) : value_(std::string(s)) {}
   Json(Array a) : value_(std::move(a)) {}
-  Json(Object o) : value_(std::move(o)) {}
 
   static Json object() { return Json(Object{}); }
   static Json array() { return Json(Array{}); }
@@ -77,7 +86,10 @@ class Json {
   const Json& at(std::string_view key) const;
   /// Object field lookup returning nullptr when absent (optional fields).
   const Json* find(std::string_view key) const;
-  /// Object field assignment (creates the object value if null).
+  /// Mutable lookup: lets a caller that owns a document move a field out.
+  Json* find(std::string_view key);
+  /// Object field assignment (creates the object value if null); an
+  /// existing key's value is replaced.
   Json& set(std::string_view key, Json value);
   /// Array append (creates the array value if null).
   void push_back(Json value);
@@ -92,6 +104,10 @@ class Json {
   }
 
  private:
+  class Parser;
+
+  explicit Json(Object o) : value_(std::move(o)) {}
+
   template <typename T>
   bool holds() const noexcept {
     return std::holds_alternative<T>(value_);

@@ -1,7 +1,7 @@
 #include "api/key_delivery.hpp"
 
+#include <algorithm>
 #include <array>
-#include <set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -12,19 +12,39 @@ namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
+/// Lowercase hex of bits.to_bytes(), read straight from the words: byte i
+/// is bits [8i, 8i + 8) of the little-endian word i / 8.
 std::string to_hex(const BitVec& bits) {
-  const auto bytes = bits.to_bytes();
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const std::uint8_t byte : bytes) {
-    out.push_back(kHexDigits[byte >> 4]);
-    out.push_back(kHexDigits[byte & 0x0F]);
+  const std::size_t bytes = (bits.size() + 7) / 8;
+  const auto words = bits.words();
+  std::string out(2 * bytes, '\0');
+  for (std::size_t i = 0; i < bytes; ++i) {
+    const auto byte = static_cast<std::uint8_t>(words[i / 8] >> (i % 8 * 8));
+    out[2 * i] = kHexDigits[byte >> 4];
+    out[2 * i + 1] = kHexDigits[byte & 0x0F];
   }
   return out;
 }
 
 bool is_hex_lower(char c) noexcept {
   return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+}
+
+/// Index of the first id that equals an earlier one, or ids.size(): what
+/// inserting them one by one into a set would stop at, found by sorting
+/// (id, index) pairs in one buffer instead of allocating a node per id.
+std::size_t first_repeat(const std::vector<std::string>& ids) {
+  std::vector<std::pair<std::string_view, std::size_t>> order;
+  order.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) order.emplace_back(ids[i], i);
+  std::sort(order.begin(), order.end());
+  std::size_t repeat = ids.size();
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    if (order[i].first == order[i - 1].first) {
+      repeat = std::min(repeat, order[i].second);
+    }
+  }
+  return repeat;
 }
 
 /// Composite registry key; '/' is rejected in SAE ids, so unambiguous.
@@ -291,6 +311,7 @@ Result<KeyContainer> KeyDeliveryService::get_key(std::string_view caller_sae,
   KeySource& source = *pair->source;
   MutexLock lock(pair->mutex);
   KeyContainer container;
+  container.keys.reserve(request.number);  // <= max_key_per_request
   // Segments are cut at a moving offset and the residual is compacted
   // once at the end: per-key subvec-of-the-remainder would re-copy the
   // whole (possibly multi-kilobit) buffer for every minted key.
@@ -393,21 +414,28 @@ Result<KeyContainer> KeyDeliveryService::get_key_with_ids(
         kStatusBadRequest, "malformed key_ID", std::move(bad));
   }
   // A repeated id inside one batch would be a double delivery of the same
-  // key: reject it as malformed before touching the handover state.
-  std::set<std::string_view> unique_ids;
-  for (const auto& id : request.key_ids) {
-    if (!unique_ids.insert(id).second) {
-      return Result<KeyContainer>::failure(
-          kStatusBadRequest, "duplicate key_ID in request", {id});
-    }
+  // key: reject it as malformed before touching the handover state. The id
+  // named is the first one, in request order, that repeats an earlier one.
+  if (const auto repeat = first_repeat(request.key_ids);
+      repeat < request.key_ids.size()) {
+    return Result<KeyContainer>::failure(kStatusBadRequest,
+                                         "duplicate key_ID in request",
+                                         {request.key_ids[repeat]});
   }
 
   MutexLock lock(pair->mutex);
   // All-or-nothing: verify every id is retained before consuming any, so
   // a failed batch leaves the handover state untouched.
+  std::vector<decltype(pair->pending)::iterator> retained;
+  retained.reserve(request.key_ids.size());
   std::vector<std::string> missing;
   for (const auto& id : request.key_ids) {
-    if (pair->pending.find(id) == pair->pending.end()) missing.push_back(id);
+    const auto it = pair->pending.find(id);
+    if (it == pair->pending.end()) {
+      missing.push_back(id);
+    } else {
+      retained.push_back(it);
+    }
   }
   if (!missing.empty()) {
     return Result<KeyContainer>::failure(
@@ -416,17 +444,18 @@ Result<KeyContainer> KeyDeliveryService::get_key_with_ids(
   }
 
   KeyContainer container;
-  for (const auto& id : request.key_ids) {
-    const auto it = pair->pending.find(id);
-    DeliveredKey delivered;
-    delivered.key_id = id;
-    delivered.key = to_hex(it->second);
+  container.keys.reserve(retained.size());
+  for (const auto it : retained) {
+    // The ids are distinct, so each erase leaves the other iterators valid;
+    // extracting the node hands its id string over instead of copying it.
+    auto node = pair->pending.extract(it);
+    const std::size_t bits = node.mapped().size();
     ++pair->stats.collected_keys;
-    pair->stats.collected_bits += it->second.size();
+    pair->stats.collected_bits += bits;
     --pair->stats.pending_keys;
-    pair->stats.pending_bits -= it->second.size();
-    pair->pending.erase(it);
-    container.keys.push_back(std::move(delivered));
+    pair->stats.pending_bits -= bits;
+    container.keys.push_back(
+        DeliveredKey{std::move(node.key()), to_hex(node.mapped())});
   }
   return Result<KeyContainer>::success(std::move(container));
 }

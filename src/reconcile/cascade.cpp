@@ -90,9 +90,11 @@ class CascadeEngine {
     return {static_cast<std::uint32_t>(begin), static_cast<std::uint32_t>(end)};
   }
 
-  /// Bob's parity over a permuted-domain range of the live key.
+  /// Bob's parity over a permuted-domain range of the live key; pass 0,
+  /// the identity, reads the key itself.
   bool local_parity(std::uint32_t pass, ParityRange range) const {
-    return permuted_[pass].parity_range(range.begin, range.end);
+    const BitVec& permuted = pass == 0 ? key_ : permuted_[pass];
+    return permuted.parity_range(range.begin, range.end);
   }
 
   BitVec query(std::uint32_t pass, std::span<const ParityRange> ranges) {
@@ -101,12 +103,28 @@ class CascadeEngine {
     return oracle_.parities(pass, ranges);
   }
 
+  /// Where pass `pass` puts original index `original`, and which original
+  /// index sits at its permuted position `j`. Pass 0 is the identity.
+  std::uint32_t permuted_index(std::uint32_t pass,
+                               std::uint32_t original) const {
+    return pass == 0 ? original : inv_[pass][original];
+  }
+  std::uint32_t original_index(std::uint32_t pass, std::uint32_t j) const {
+    return pass == 0 ? j : perm_[pass][j];
+  }
+
   void begin_pass(std::uint32_t pass) {
     const auto& perm = perm_[pass];
-    QKDPP_REQUIRE(perm.size() == n_, "permutation does not match key length");
-    permuted_[pass] = key_.gather(perm);
-    inv_[pass].resize(n_);
-    for (std::uint32_t j = 0; j < n_; ++j) inv_[pass][perm[j]] = j;
+    if (pass == 0) {
+      QKDPP_REQUIRE(perm.empty(),
+                    "pass 0 is the identity and takes no permutation");
+    } else {
+      QKDPP_REQUIRE(perm.size() == n_,
+                    "permutation does not match key length");
+      permuted_[pass] = key_.gather(perm);
+      inv_[pass].resize(n_);
+      for (std::uint32_t j = 0; j < n_; ++j) inv_[pass][perm[j]] = j;
+    }
 
     const std::uint32_t blocks = blocks_in_pass(pass);
     std::vector<ParityRange> ranges;
@@ -122,14 +140,15 @@ class CascadeEngine {
     }
   }
 
-  /// A correction at original index flips that bit in every started pass's
-  /// permuted copy, and the parity-diff flag of its block there.
+  /// A correction at original index flips that bit in the key and in every
+  /// later started pass's permuted copy, and the parity-diff flag of its
+  /// block in every started pass.
   void apply_correction(std::uint32_t original, std::uint32_t up_to_pass) {
     key_.flip(original);
     ++corrected_;
     for (std::uint32_t p = 0; p <= up_to_pass; ++p) {
-      const std::uint32_t j = inv_[p][original];
-      permuted_[p].flip(j);
+      const std::uint32_t j = permuted_index(p, original);
+      if (p != 0) permuted_[p].flip(j);
       odd_[p][j / block_size_[p]] ^= 1;
     }
   }
@@ -172,7 +191,7 @@ class CascadeEngine {
       std::vector<ParityRange> still_active;
       for (const auto range : active) {
         if (range.end - range.begin == 1) {
-          apply_correction(perm_[pass][range.begin], up_to_pass);
+          apply_correction(original_index(pass, range.begin), up_to_pass);
         } else {
           still_active.push_back(range);
         }
@@ -207,10 +226,11 @@ class CascadeEngine {
   std::span<const std::vector<std::uint32_t>> perm_;
   std::size_t n_;
   std::vector<std::uint32_t> block_size_;
-  /// Per started pass: the key as permuted for it, kept in step with key_.
+  /// Per started pass from 1 on: the key as permuted for it, kept in step
+  /// with key_.
   std::vector<BitVec> permuted_;
   /// Entries of passes not yet started hold a previous run's data and are
-  /// never read.
+  /// never read; pass 0's is never built.
   std::vector<std::vector<std::uint32_t>>& inv_;
   std::vector<std::vector<std::uint8_t>> odd_;
   CascadeResult result_;

@@ -8,11 +8,12 @@
 //
 // Both sides work on whole 64-bit words. Alice keeps, per pass, the prefix
 // parities of her permuted key: one BitVec::gather through the pass
-// permutation, then an in-register prefix XOR per word (x ^= x << 1, 2, 4,
-// ..., 32) with the running parity carried into the next word, so any range
-// parity is two bit reads. In-process runs (cascade_reconcile_local) derive
-// each pass permutation once and hand the same vectors to both sides; the
-// two session peers each derive their own from the seed on the wire.
+// permutation (none for pass 0, the identity), then an in-register prefix
+// XOR per word (x ^= x << 1, 2, 4, ..., 32) with the running parity carried
+// into the next word, so any range parity is two bit reads. In-process runs
+// (cascade_reconcile_local) derive each pass permutation once and hand the
+// same vectors to both sides; the two session peers each derive their own
+// from the seed on the wire.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,9 @@ struct ParityRange {
 };
 
 /// One permutation per pass: entry j of pass p is the original key index
-/// that lands at permuted position j.
+/// that lands at permuted position j. Pass 0 is the identity by
+/// construction: its entry is empty, and both sides read pass 0 straight
+/// from the key instead of gathering it.
 using CascadePermutations = std::vector<std::vector<std::uint32_t>>;
 
 class ParityOracle {
@@ -48,8 +51,9 @@ class ParityOracle {
 /// session responder.
 class CascadeResponder {
  public:
-  /// `permutations` holds one permutation of [0, alice_key.size()) per pass
-  /// (at least one pass).
+  /// `permutations` holds one entry per pass (at least one pass), laid out
+  /// as fill_cascade_permutations writes them: empty for pass 0, a
+  /// permutation of [0, alice_key.size()) for every later pass.
   CascadeResponder(const BitVec& alice_key,
                    std::span<const std::vector<std::uint32_t>> permutations);
 
@@ -70,14 +74,17 @@ class CascadeResponder {
   std::vector<BitVec> prefix_;
 };
 
-/// Derive the pass-`pass` permutation for key length n from the session
-/// seed; pass 0 is the identity, as in standard Cascade. Both sides must
-/// call this with identical arguments.
+/// The pass-`pass` permutation for key length n and the session seed,
+/// written out: the identity for pass 0, as in standard Cascade, and the
+/// stored entry of cascade_permutations for every later pass. Tests check
+/// the parities both sides compute against it.
 std::vector<std::uint32_t> cascade_permutation(std::size_t n,
                                                std::uint64_t seed,
                                                std::uint32_t pass);
 
-/// The permutations of passes [0, passes) for key length n.
+/// The permutations of passes [0, passes) for key length n, pass 0 left
+/// empty (see CascadePermutations). Both sides must call this with
+/// identical arguments.
 CascadePermutations cascade_permutations(std::size_t n, std::uint64_t seed,
                                          std::uint32_t passes);
 

@@ -245,6 +245,14 @@ TEST_F(KeyDeliveryTest, ErrorModelCoversMalformedUnknownAndExhausted) {
   twice.key_ids.push_back(ok->keys[0].key_id);
   EXPECT_EQ(service_.get_key_with_ids("sae-b", "sae-a", twice).error.status,
             kStatusBadRequest);
+  // The id named is the first, in request order, that repeats an earlier
+  // one: b at index 2, although a sorts first and repeats too.
+  const std::string a = "00000000-0000-4000-8000-000000000001";
+  const std::string b = "ffffffff-0000-4000-8000-000000000002";
+  const KeyIdsRequest crossing{{a, b, b, a}};
+  const auto crossed = service_.get_key_with_ids("sae-b", "sae-a", crossing);
+  EXPECT_EQ(crossed.error.status, kStatusBadRequest);
+  EXPECT_EQ(crossed.error.details, std::vector<std::string>{b});
   // 503: nothing left to segment.
   KeyRequest drain;
   drain.number = 8;

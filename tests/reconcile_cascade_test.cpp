@@ -28,6 +28,29 @@ TEST(CascadePermutation, PassZeroIsIdentity) {
   for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(perm[i], i);
 }
 
+// Pass 0 is the identity by construction: the table leaves it empty, both
+// sides read it straight from the key, and a written-out identity is
+// refused rather than gathered.
+TEST(CascadePermutation, PassZeroIsNotStored) {
+  const auto permutations = cascade_permutations(100, 42, 3);
+  ASSERT_EQ(permutations.size(), 3u);
+  EXPECT_TRUE(permutations[0].empty());
+  EXPECT_EQ(permutations[1], cascade_permutation(100, 42, 1));
+  EXPECT_EQ(permutations[2], cascade_permutation(100, 42, 2));
+
+  auto written_out = permutations;
+  written_out[0] = cascade_permutation(100, 42, 0);
+  Xoshiro256 rng(4);
+  const BitVec alice = rng.random_bits(100);
+  EXPECT_THROW(CascadeResponder(alice, written_out), std::invalid_argument);
+  LocalParityOracle oracle(alice, permutations);
+  BitVec bob = alice;
+  CascadeConfig config;
+  config.passes = 3;
+  EXPECT_THROW(cascade_reconcile(bob, oracle, 0.02, config, written_out),
+               std::invalid_argument);
+}
+
 TEST(CascadePermutation, DeterministicAndPassDependent) {
   const auto a = cascade_permutation(1000, 7, 1);
   const auto b = cascade_permutation(1000, 7, 1);
