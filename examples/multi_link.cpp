@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
 
   service::OrchestratorConfig config;
   config.store.capacity_bits = 1 << 14;  // 16 kbit per link pair
-  config.store.on_overflow = pipeline::OverflowPolicy::kReject;
 
   struct Span {
     const char* name;

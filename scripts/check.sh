@@ -6,7 +6,7 @@
 #   QKDPP_CHECK_SANITIZE=1     additionally build and run everything under
 #                              ASan+UBSan (separate build tree) - the
 #                              word-twiddling kernels (clmul, BitVec
-#                              select/scatter) are exactly the kind of code
+#                              select/gather) are exactly the kind of code
 #                              where shift and masking bugs hide, and the
 #                              sanitizers catch them deterministically.
 #   QKDPP_CHECK_SANITIZE=only  sanitizer tree only (the CI sanitize job).

@@ -15,35 +15,7 @@ U128 u128_from_bits(const BitVec& bits, std::size_t offset) {
   return v;
 }
 
-U128 load_block(std::span<const std::uint8_t> message, std::size_t pos) {
-  // Little-endian 16-byte block; final partial block zero-padded.
-  U128 v{0, 0};
-  const std::size_t n = std::min<std::size_t>(16, message.size() - pos);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t byte = message[pos + i];
-    if (i < 8) {
-      v.lo |= byte << (8 * i);
-    } else {
-      v.hi |= byte << (8 * (i - 8));
-    }
-  }
-  return v;
-}
-
 }  // namespace
-
-U128 poly_hash(U128 r, std::span<const std::uint8_t> message) noexcept {
-  // Horner: h = ((L*r + m_0)*r + m_1)*r + ... ; the length block L makes
-  // messages of different lengths hash through polynomials of different
-  // leading coefficient, preserving universality across lengths.
-  U128 h{0, static_cast<std::uint64_t>(message.size())};
-  h = gf128_mul(h, r);
-  for (std::size_t pos = 0; pos < message.size(); pos += 16) {
-    h ^= load_block(message, pos);
-    h = gf128_mul(h, r);
-  }
-  return h;
-}
 
 U128 WegmanCarter::next_tag_value(std::span<const std::uint8_t> message) {
   const BitVec key = pool_.draw(kTagKeyBits);

@@ -1,11 +1,12 @@
 // Wegman-Carter information-theoretic message authentication.
 //
 // Tag = PolyHash_r(message) XOR otp, where PolyHash is Horner evaluation
-// over GF(2^128) and (r, otp) are 256 fresh key-pool bits per tag. The
-// polynomial hash family is eps-almost-XOR-universal with
-// eps = ceil(len/16 + 1) / 2^128, so OTP encryption of the tag yields an
-// unconditionally secure MAC with forgery probability eps per message -
-// exactly the construction QKD deployments use for the classical channel.
+// over GF(2^128) (poly_hash in common/gf2) and (r, otp) are 256 fresh
+// key-pool bits per tag. The polynomial hash family is eps-almost-XOR-
+// universal with eps = ceil(len/16 + 1) / 2^128, so OTP encryption of the
+// tag yields an unconditionally secure MAC with forgery probability eps
+// per message - exactly the construction QKD deployments use for the
+// classical channel.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,6 @@ struct Tag {
 
 /// Key material consumed per tag (r + otp).
 constexpr std::size_t kTagKeyBits = 256;
-
-/// Polynomial hash over GF(2^128): pad message to 16-byte blocks, prepend a
-/// length block, Horner-evaluate at point r.
-U128 poly_hash(U128 r, std::span<const std::uint8_t> message) noexcept;
 
 /// One-time authenticator drawing (r, otp) from the pool.
 class WegmanCarter {

@@ -16,9 +16,9 @@ namespace qkdpp {
 
 namespace {
 
-// Per-word compress/expand primitives. The BMI2 variants are compiled with
-// function-level target attributes and chosen once at startup, so the
-// default build stays portable while PEXT/PDEP-capable CPUs get the
+// Per-word compress primitive. The BMI2 variant is compiled with a
+// function-level target attribute and chosen once at startup, so the
+// default build stays portable while PEXT-capable CPUs get the
 // single-instruction path.
 
 std::uint64_t extract_bits_portable(std::uint64_t w, std::uint64_t m) noexcept {
@@ -33,28 +33,11 @@ std::uint64_t extract_bits_portable(std::uint64_t w, std::uint64_t m) noexcept {
   return out;
 }
 
-std::uint64_t deposit_bits_portable(std::uint64_t w, std::uint64_t m) noexcept {
-  std::uint64_t out = 0;
-  unsigned k = 0;
-  while (m != 0) {
-    const std::uint64_t lsb = m & (~m + 1);
-    out |= ((w >> k) & 1u) ? lsb : 0;
-    ++k;
-    m &= m - 1;
-  }
-  return out;
-}
-
 #ifdef QKDPP_X86_BMI2
 
 __attribute__((target("bmi2"))) std::uint64_t extract_bits_bmi2(
     std::uint64_t w, std::uint64_t m) noexcept {
   return _pext_u64(w, m);
-}
-
-__attribute__((target("bmi2"))) std::uint64_t deposit_bits_bmi2(
-    std::uint64_t w, std::uint64_t m) noexcept {
-  return _pdep_u64(w, m);
 }
 
 const bool g_has_bmi2 = __builtin_cpu_supports("bmi2") != 0;
@@ -63,18 +46,10 @@ inline std::uint64_t extract_bits(std::uint64_t w, std::uint64_t m) noexcept {
   return g_has_bmi2 ? extract_bits_bmi2(w, m) : extract_bits_portable(w, m);
 }
 
-inline std::uint64_t deposit_bits(std::uint64_t w, std::uint64_t m) noexcept {
-  return g_has_bmi2 ? deposit_bits_bmi2(w, m) : deposit_bits_portable(w, m);
-}
-
 #else
 
 inline std::uint64_t extract_bits(std::uint64_t w, std::uint64_t m) noexcept {
   return extract_bits_portable(w, m);
-}
-
-inline std::uint64_t deposit_bits(std::uint64_t w, std::uint64_t m) noexcept {
-  return deposit_bits_portable(w, m);
 }
 
 #endif  // QKDPP_X86_BMI2
@@ -356,27 +331,6 @@ BitVec BitVec::select(const BitVec& mask) const {
     }
   }
   if (fill != 0) out.words_[ow] = acc;
-  return out;
-}
-
-BitVec BitVec::scatter(const BitVec& mask) const {
-  QKDPP_REQUIRE(nbits_ == mask.popcount(), "BitVec size mismatch in scatter");
-  BitVec out(mask.nbits_);
-  std::size_t cursor = 0;  // next unread source bit
-  for (std::size_t i = 0; i < out.words_.size(); ++i) {
-    const std::uint64_t m = mask.words_[i];
-    if (m == 0) continue;
-    // Read the next popcount(m) source bits (they span at most two words);
-    // deposit_bits ignores anything above that count.
-    const std::size_t word = cursor >> 6;
-    const std::size_t shift = cursor & 63;
-    std::uint64_t bits = words_[word] >> shift;
-    if (shift != 0 && word + 1 < words_.size()) {
-      bits |= words_[word + 1] << (64 - shift);
-    }
-    out.words_[i] = deposit_bits(bits, m);
-    cursor += static_cast<std::size_t>(std::popcount(m));
-  }
   return out;
 }
 

@@ -93,11 +93,6 @@ class BitVec {
   /// (BMI2 PEXT per word when the CPU has it, portable bit loop otherwise.)
   BitVec select(const BitVec& mask) const;
 
-  /// Word-level expand, the inverse of select(): bit k of *this lands at
-  /// the position of the k-th set bit of `mask`; other positions are zero.
-  /// Requires size() == mask.popcount(); result length is mask.size().
-  BitVec scatter(const BitVec& mask) const;
-
   /// Little-endian byte serialization (size() bits, last byte zero-padded).
   std::vector<std::uint8_t> to_bytes() const;
 

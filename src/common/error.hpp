@@ -23,7 +23,7 @@ enum class ErrorCode {
   kQberTooHigh,       ///< parameter estimation above abort threshold
   kInsufficientKey,   ///< finite-key planner says no extractable secret
   kChannelClosed,     ///< peer hung up
-  kTimeout,           ///< retransmission budget or exchange deadline exhausted
+  kTimeout,           ///< exchange deadline passed with no frame delivered
   kConfig,            ///< invalid run-time configuration
 };
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 
 namespace qkdpp {
@@ -36,5 +37,10 @@ U128 gf128_mul(U128 a, U128 b) noexcept;
 /// Repeated-squaring exponentiation in GF(2^128) (used by tests and key
 /// schedule derivation).
 U128 gf128_pow(U128 base, std::uint64_t exponent) noexcept;
+
+/// Polynomial hash over GF(2^128): pad the message to little-endian 16-byte
+/// blocks, prepend a length block, Horner-evaluate at point r. The one
+/// hash behind Wegman-Carter tags and the error-verification tag.
+U128 poly_hash(U128 r, std::span<const std::uint8_t> message) noexcept;
 
 }  // namespace qkdpp

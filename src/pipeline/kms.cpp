@@ -10,7 +10,6 @@ const char* to_string(RejectReason reason) noexcept {
     case RejectReason::kEmpty: return "empty";
     case RejectReason::kOversized: return "oversized";
     case RejectReason::kCapacity: return "capacity";
-    case RejectReason::kClosed: return "closed";
     case RejectReason::kCount_: break;
   }
   return "unknown";
@@ -34,15 +33,7 @@ DepositResult KeyStore::deposit(BitVec key) {
   if (config_.capacity_bits != 0 && bits > config_.capacity_bits) {
     return reject_locked(RejectReason::kOversized, bits);
   }
-  if (!fits_locked(bits)) {
-    if (config_.on_overflow != OverflowPolicy::kBlock) {
-      return reject_locked(RejectReason::kCapacity, bits);
-    }
-    // Space first: a depositor woken with room takes it even when the wake
-    // came from close() - only a close with *no* room rejects the key.
-    while (!fits_or_closed_locked(bits)) space_.wait(lock);
-    if (!fits_locked(bits)) return reject_locked(RejectReason::kClosed, bits);
-  }
+  if (!fits_locked(bits)) return reject_locked(RejectReason::kCapacity, bits);
   const std::uint64_t id = next_id_++;
   in_store_bits_ += bits;
   deposited_bits_ += bits;
@@ -64,7 +55,6 @@ StoredKey KeyStore::take_locked(std::map<std::uint64_t, BitVec>::iterator it,
   } else {
     drawn_.emplace(std::string(consumer), bits);
   }
-  if (config_.on_overflow == OverflowPolicy::kBlock) space_.notify_all();
   return out;
 }
 
@@ -80,12 +70,6 @@ std::optional<StoredKey> KeyStore::get_key_with_id(std::uint64_t key_id,
   const auto it = keys_.find(key_id);
   if (it == keys_.end()) return std::nullopt;
   return take_locked(it, consumer);
-}
-
-void KeyStore::close() {
-  MutexLock lock(mutex_);
-  closed_ = true;
-  space_.notify_all();
 }
 
 std::size_t KeyStore::keys_available() const {

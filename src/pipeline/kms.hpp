@@ -7,20 +7,17 @@
 // consumption is destructive exactly once.
 //
 // One mutex guards the key map, every aggregate and the per-consumer
-// ledger; one condition variable parks kBlock depositors until a draw
-// frees space or close() releases them. A store has one depositor (its
-// link's worker) beside a few drawers, so nothing contends for more.
+// ledger. A store has one depositor (its link's worker) beside a few
+// drawers, so nothing contends for more.
 //
 // The store is bounded: `capacity_bits` caps the material held at once
-// (0 = unbounded). A deposit that would overflow is either rejected with a
-// statistic (kReject - the orchestrator's default, so a slow consumer shows
-// up as `rejected_bits` instead of unbounded memory) or blocks the
-// depositor until consumers drain space (kBlock - classic backpressure;
-// close() releases blocked depositors on shutdown). Empty keys are always
+// (0 = unbounded). A deposit that would overflow is rejected with a
+// statistic, so a slow consumer shows up as `rejected_bits` instead of
+// unbounded memory, and the depositor never waits. Empty keys are always
 // rejected: a zero-bit "key" has no material, and minting an id for it
 // would let consumers draw nothing while keys_available() claims otherwise.
 // Every rejection carries a typed RejectReason (DepositResult), so callers
-// can distinguish a capacity bound from a shutdown instead of decoding an
+// can tell an empty key from a capacity bound instead of decoding an
 // id==0 sentinel. Draws are attributed per consumer name for ETSI-style
 // SAE accounting; an empty name is attributed to the reserved "anonymous"
 // consumer so unlabeled draws stay visible in the ledger.
@@ -48,8 +45,7 @@ enum class RejectReason : std::uint8_t {
   kNone = 0,      ///< accepted: DepositResult::key_id is valid
   kEmpty,         ///< zero-bit key (no material to store)
   kOversized,     ///< larger than the whole store capacity (can never fit)
-  kCapacity,      ///< store full under kReject
-  kClosed,        ///< blocked depositor released by close()
+  kCapacity,      ///< store full
   kCount_,        ///< sentinel: number of reasons, not a reason itself
 };
 inline constexpr std::size_t kRejectReasonCount =
@@ -71,15 +67,8 @@ struct DepositResult {
 /// Ledger name unlabeled draws are attributed to.
 inline constexpr std::string_view kAnonymousConsumer = "anonymous";
 
-/// What a deposit does when it would push the store past capacity.
-enum class OverflowPolicy : std::uint8_t {
-  kReject = 0,  ///< drop the key, count it in rejected_keys/rejected_bits
-  kBlock = 1,   ///< block the depositor until consumers free space
-};
-
 struct KeyStoreConfig {
   std::uint64_t capacity_bits = 0;  ///< 0 = unbounded
-  OverflowPolicy on_overflow = OverflowPolicy::kReject;
 };
 
 class KeyStore {
@@ -91,8 +80,7 @@ class KeyStore {
 
   /// Deposit a distilled key. The result carries the assigned id on
   /// acceptance, or the typed reason the key was refused (empty, larger
-  /// than the whole capacity, over capacity under kReject, or blocked
-  /// past close() under kBlock).
+  /// than the whole capacity, or over the capacity left).
   DepositResult deposit(BitVec key);
 
   /// Oldest unconsumed key (FIFO), if any. Destructive; the draw is
@@ -103,10 +91,6 @@ class KeyStore {
   /// or already consumed.
   std::optional<StoredKey> get_key_with_id(std::uint64_t key_id,
                                            std::string_view consumer = {});
-
-  /// Release *all* depositors blocked on a full store (kBlock); their
-  /// keys are rejected. Further deposits still succeed while space allows.
-  void close();
 
   std::size_t keys_available() const;
   std::uint64_t bits_available() const;
@@ -128,9 +112,6 @@ class KeyStore {
     return config_.capacity_bits == 0 ||
            in_store_bits_ + bits <= config_.capacity_bits;
   }
-  bool fits_or_closed_locked(std::uint64_t bits) const QKD_REQUIRES(mutex_) {
-    return fits_locked(bits) || closed_;
-  }
   DepositResult reject_locked(RejectReason reason, std::uint64_t bits)
       QKD_REQUIRES(mutex_);
   StoredKey take_locked(std::map<std::uint64_t, BitVec>::iterator it,
@@ -139,8 +120,6 @@ class KeyStore {
   KeyStoreConfig config_;
 
   mutable Mutex mutex_{LockRank::kStore, "kms.store"};
-  /// kBlock depositors wait here for space (or close()).
-  CondVar space_;
   std::map<std::uint64_t, BitVec> keys_ QKD_GUARDED_BY(mutex_);
   std::uint64_t next_id_ QKD_GUARDED_BY(mutex_) = 1;
   std::uint64_t in_store_bits_ QKD_GUARDED_BY(mutex_) = 0;
@@ -149,7 +128,6 @@ class KeyStore {
   std::uint64_t rejected_bits_ QKD_GUARDED_BY(mutex_) = 0;
   std::array<std::uint64_t, kRejectReasonCount> rejected_by_reason_
       QKD_GUARDED_BY(mutex_) = {};
-  bool closed_ QKD_GUARDED_BY(mutex_) = false;
   /// Per-consumer draw ledger.
   std::map<std::string, std::uint64_t, std::less<>> drawn_
       QKD_GUARDED_BY(mutex_);

@@ -30,8 +30,8 @@
 // point is a message, not an exception; both sides return success=false
 // with the same reason.
 //
-// Channel faults are typed aborts too: a retransmission budget or exchange
-// deadline blown at the ARQ layer (Error{kTimeout}), a peer hang-up
+// Channel faults are typed aborts too: an exchange deadline blown at the
+// ARQ layer (Error{kTimeout}), a peer hang-up
 // (kChannelClosed), or a Wegman-Carter tag mismatch (kAuthentication) ends
 // the block with success=false and SessionResult::fault_code set, after a
 // best-effort Abort message to the peer — the orchestrator's circuit

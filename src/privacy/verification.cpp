@@ -4,37 +4,10 @@
 
 namespace qkdpp::privacy {
 
-namespace {
-
-/// Horner evaluation of the key's 16-byte blocks at point r (same
-/// construction as auth::poly_hash, reimplemented on BitVec bytes to keep
-/// the privacy module independent of the auth module).
-U128 poly_eval(U128 r, const std::vector<std::uint8_t>& bytes) {
-  U128 h{0, static_cast<std::uint64_t>(bytes.size())};
-  h = gf128_mul(h, r);
-  for (std::size_t pos = 0; pos < bytes.size(); pos += 16) {
-    U128 block{0, 0};
-    const std::size_t n = std::min<std::size_t>(16, bytes.size() - pos);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t byte = bytes[pos + i];
-      if (i < 8) {
-        block.lo |= byte << (8 * i);
-      } else {
-        block.hi |= byte << (8 * (i - 8));
-      }
-    }
-    h ^= block;
-    h = gf128_mul(h, r);
-  }
-  return h;
-}
-
-}  // namespace
-
 U128 verification_tag(const BitVec& key, std::uint64_t seed) {
   Xoshiro256 rng(seed ^ 0x5eedf0011ULL);
   const U128 r{rng.next_u64(), rng.next_u64()};
-  return poly_eval(r, key.to_bytes());
+  return poly_hash(r, key.to_bytes());
 }
 
 }  // namespace qkdpp::privacy

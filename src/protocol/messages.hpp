@@ -3,7 +3,7 @@
 // Every message carries the block id it refers to, so a session can detect
 // out-of-order or replayed frames cheaply (full integrity/authenticity is the
 // authenticated channel's job). Wire format: 1 type byte + fields in
-// ByteWriter little-endian encoding.
+// ByteWriter little-endian encoding, in the order messages.cpp lists them.
 #pragma once
 
 #include <cstdint>
@@ -148,13 +148,15 @@ struct Abort {
   std::string detail;
 };
 
+/// The type byte is the alternative's index + 1, so this order is part of
+/// the wire format: append new messages at the end.
 using Message =
     std::variant<DetectionReport, SiftResult, PeReveal, PeReport, PeVerdict,
                  ReconcileStart, ParityRequest, ParityResponse, ReconcileDone,
                  BlindRequest, BlindResponse, VerifyRequest, VerifyResponse,
                  PaParams, KeyConfirm, Abort>;
 
-/// Stable wire tag of the alternative held by `m`.
+/// Stable wire tag of the alternative held by `m` (1-16).
 std::uint8_t message_type(const Message& m) noexcept;
 /// Human-readable name, for logs and protocol errors.
 const char* message_name(const Message& m) noexcept;

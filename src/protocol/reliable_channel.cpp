@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <string>
 #include <utility>
 
 #include "common/crc.hpp"
@@ -68,7 +67,6 @@ void RetryPolicy::validate() const {
   auto check = [](bool ok, const char* what) {
     if (!ok) throw_error(ErrorCode::kConfig, what);
   };
-  check(max_retries > 0, "RetryPolicy.max_retries must be > 0");
   check(base_timeout.count() > 0, "RetryPolicy.base_timeout must be positive");
   check(backoff >= 1.0, "RetryPolicy.backoff must be >= 1");
   check(jitter >= 0.0 && jitter < 1.0, "RetryPolicy.jitter must be in [0, 1)");
@@ -111,17 +109,10 @@ void ReliableChannel::send_ack() {
 }
 
 void ReliableChannel::retransmit_unacked() {
-  for (auto& [seq, entry] : unacked_) {
-    if (entry.retries >= policy_.max_retries) {
-      throw_error(ErrorCode::kTimeout,
-                  "retransmission budget exhausted for seq " +
-                      std::to_string(seq) + " after " +
-                      std::to_string(entry.retries) + " retries");
-    }
-    entry.retries += 1;
+  for (const auto& entry : unacked_) {
     retransmits_ += 1;
     try {
-      transmit(entry.wire);
+      transmit(entry.second);
     } catch (const Error& e) {
       // A closed peer surfaces on the next receive; keep the typed
       // closure there rather than from a background retransmission.
@@ -174,10 +165,9 @@ bool ReliableChannel::absorb(std::vector<std::uint8_t> wire) {
 
 void ReliableChannel::send(std::vector<std::uint8_t> frame) {
   const std::uint64_t seq = next_send_seq_++;
-  auto wire = encode_frame(kDataType, seq, frame);
-  auto [it, inserted] = unacked_.emplace(seq, Unacked{std::move(wire), 0});
-  (void)inserted;
-  transmit(it->second.wire);
+  const auto it =
+      unacked_.emplace(seq, encode_frame(kDataType, seq, frame)).first;
+  transmit(it->second);
 }
 
 std::vector<std::uint8_t> ReliableChannel::receive() {
@@ -246,7 +236,7 @@ void ReliableChannel::close() {
       }
     }
   } catch (const Error&) {
-    // Budget exhausted or peer gone: teardown proceeds either way.
+    // Peer gone: teardown proceeds either way.
   }
   inner_->close();
 }

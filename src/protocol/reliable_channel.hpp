@@ -11,8 +11,9 @@
 // layers *above* this decorator). Replayed or duplicated frames are
 // discarded idempotently and re-acked.
 //
-// Failure is typed, never silent: a frame that exhausts its retransmission
-// budget or a receive that overruns the per-exchange deadline throws
+// Liveness has one budget, the per-receive exchange deadline: a peer that is
+// only computing keeps its unacknowledged frames retransmitting on the
+// capped backoff, and only a receive that overruns the deadline throws
 // Error{kTimeout}, which the session maps to a typed block abort.
 #pragma once
 
@@ -32,26 +33,26 @@ namespace qkdpp::protocol {
 /// healthy round trip is microseconds; a real WAN deployment would scale
 /// base_timeout to its RTT.
 struct RetryPolicy {
-  /// Retransmissions per frame before the sender gives up (kTimeout).
-  std::uint32_t max_retries = 10;
   /// First receive-wait before retransmitting.
   std::chrono::microseconds base_timeout{1500};
   /// Wait multiplier per consecutive empty wait.
   double backoff = 2.0;
-  /// Cap on the backed-off wait; keeps abort latency bounded during outages.
+  /// Cap on the backed-off wait: the retransmit period while a peer is
+  /// busy or the channel is dark.
   std::chrono::microseconds max_timeout{50000};
   /// Seeded +/- fraction applied to every wait so peers desynchronize.
   double jitter = 0.25;
-  /// Per-receive() deadline: must cover the peer's worst-case compute
-  /// between protocol messages (an LDPC decode, a Toeplitz pass), not just
-  /// network time. Overrunning it throws Error{kTimeout}.
+  /// Per-receive() deadline, the only test of whether the peer is alive:
+  /// must cover the peer's worst-case compute between protocol messages (an
+  /// LDPC decode, a Toeplitz pass), not just network time. Overrunning it
+  /// throws Error{kTimeout}.
   std::chrono::milliseconds exchange_deadline{5000};
   /// Grace period close() spends pumping acks/retransmits so a peer whose
   /// final frame was lost can still be healed before teardown.
   std::chrono::milliseconds close_linger{250};
 
-  /// Throws Error{kConfig} on a zero retry budget, a non-positive timeout
-  /// or deadline, backoff below 1, or jitter outside [0, 1).
+  /// Throws Error{kConfig} on a non-positive timeout or deadline, backoff
+  /// below 1, or jitter outside [0, 1).
   void validate() const;
 };
 
@@ -67,8 +68,8 @@ class ReliableChannel final : public ClassicalChannel {
   void send(std::vector<std::uint8_t> frame) override;
 
   /// Next in-order application frame, exactly once. Drives retransmission
-  /// of unacked frames while waiting. Throws Error{kTimeout} on budget or
-  /// deadline exhaustion, Error{kChannelClosed} once the peer is gone.
+  /// of unacked frames while waiting. Throws Error{kTimeout} past the
+  /// exchange deadline, Error{kChannelClosed} once the peer is gone.
   std::vector<std::uint8_t> receive() override;
 
   /// Linger-pump outstanding retransmissions, then close the inner channel.
@@ -79,11 +80,6 @@ class ReliableChannel final : public ClassicalChannel {
   ChannelCounters counters() const override;
 
  private:
-  struct Unacked {
-    std::vector<std::uint8_t> wire;  ///< full encoded DATA frame
-    std::uint32_t retries = 0;
-  };
-
   void transmit(const std::vector<std::uint8_t>& wire);
   void send_ack();
   void retransmit_unacked();
@@ -97,7 +93,8 @@ class ReliableChannel final : public ClassicalChannel {
   Xoshiro256 jitter_rng_;
 
   std::uint64_t next_send_seq_ = 0;       ///< our outgoing stream
-  std::map<std::uint64_t, Unacked> unacked_;
+  /// Full encoded DATA frames the peer has not acknowledged, by seq.
+  std::map<std::uint64_t, std::vector<std::uint8_t>> unacked_;
 
   std::uint64_t next_deliver_seq_ = 0;    ///< peer stream, next in-order seq
   std::map<std::uint64_t, std::vector<std::uint8_t>> reorder_;

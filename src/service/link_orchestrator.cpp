@@ -309,7 +309,7 @@ void LinkOrchestrator::run_link(std::size_t i, LinkReport& report) {
 
     if (breaker.enabled() && state.breaker_state == BreakerState::kOpen) {
       if (b < state.breaker_probe_block) {
-        // Shed the block instead of burning a full retransmission budget
+        // Shed the block instead of waiting out a full exchange deadline
         // against a channel we already know is dark.
         ++report.breaker_skipped_blocks;
         continue;

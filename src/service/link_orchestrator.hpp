@@ -62,16 +62,16 @@ struct LinkSpec {
   /// transport only; the schedule's channel_faults phases overlay it per
   /// block).
   protocol::FaultProfile channel_faults;
-  /// ARQ posture of the session transport (retries, backoff, deadlines).
+  /// ARQ posture of the session transport (backoff, deadlines).
   protocol::RetryPolicy channel_retry;
 };
 
 /// Per-link circuit breaker: an unbroken abort streak opens the circuit,
-/// the link skips (rather than burns retry budgets on) the cooldown window,
-/// then a single half-open probe block decides between re-closing and
-/// re-opening with a multiplied cooldown. Disabled by default — aborts are
-/// cheap on the engine fast path; arm it for session-transport links where
-/// every channel-fault abort costs a full retransmission budget.
+/// the link skips (rather than times out on) the cooldown window, then a
+/// single half-open probe block decides between re-closing and re-opening
+/// with a multiplied cooldown. Disabled by default — aborts are cheap on
+/// the engine fast path; arm it for session-transport links where every
+/// channel-fault abort waits out a full ARQ exchange deadline.
 struct CircuitBreakerPolicy {
   /// Consecutive aborts that open the circuit (0 = breaker disabled).
   std::uint64_t open_after_aborts = 0;

@@ -275,7 +275,7 @@ ScenarioConfig loss_burst_scenario(std::uint64_t blocks) {
 ScenarioConfig channel_outage_scenario(std::uint64_t blocks) {
   // The service channel goes fully dark for the middle third while the
   // quantum layer keeps producing detections: every block in the window
-  // exhausts its retransmission budget and aborts with kTimeout. The
+  // retransmits until its exchange deadline and aborts with kTimeout. The
   // breaker opens on the abort streak and half-open probes rediscover the
   // channel once the outage lifts.
   ScenarioConfig scenario;

@@ -145,8 +145,9 @@ ScenarioConfig loss_burst_scenario(std::uint64_t blocks = 18);
 
 /// Classical-channel outage over the middle third: every service-channel
 /// frame lost while the quantum layer keeps clicking. Blocks in the window
-/// abort on retransmission timeout; the orchestrator's circuit breaker is
-/// what keeps the link from burning full retry budgets on every one.
+/// abort with kTimeout once the ARQ's exchange deadline passes; the
+/// orchestrator's circuit breaker is what keeps the link from waiting out
+/// a full deadline on every one.
 ScenarioConfig channel_outage_scenario(std::uint64_t blocks = 18);
 
 /// All shipped scenarios, scaled to `blocks` timeline steps each.

@@ -403,9 +403,8 @@ TEST_P(ChaosDelivery, BreakerOpensAndDeliveryStaysExact) {
   config.store.capacity_bits = 1 << 22;
   config.breaker = service::CircuitBreakerPolicy::standard();
   protocol::RetryPolicy fast;
-  fast.max_retries = 5;
   fast.base_timeout = std::chrono::milliseconds{2};
-  fast.exchange_deadline = std::chrono::milliseconds{5000};
+  fast.exchange_deadline = std::chrono::milliseconds{150};
   fast.close_linger = std::chrono::milliseconds{50};
   auto link = [&](const char* name, std::uint64_t blocks,
                   std::uint64_t seed) {

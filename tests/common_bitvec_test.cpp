@@ -246,36 +246,6 @@ TEST(BitVec, SelectDegenerateMasks) {
   EXPECT_THROW(v.select(BitVec(100)), std::invalid_argument);
 }
 
-TEST(BitVec, ScatterMatchesBitLoop) {
-  Xoshiro256 rng(22);
-  for (const std::size_t n : {1u, 63u, 64u, 65u, 127u, 128u, 129u, 1000u}) {
-    const BitVec mask = rng.random_bits(n);
-    const BitVec v = rng.random_bits(mask.popcount());
-    const BitVec got = v.scatter(mask);
-    BitVec expected(n);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask.get(i)) expected.set(i, v.get(k++));
-    }
-    EXPECT_EQ(got, expected) << n;
-  }
-  EXPECT_THROW(BitVec(3).scatter(BitVec(100)), std::invalid_argument);
-}
-
-TEST(BitVec, SelectScatterRoundTrip) {
-  // scatter then select with the same mask is the identity on the packed
-  // bits; select then scatter re-zeroes the unselected positions.
-  Xoshiro256 rng(23);
-  for (const std::size_t n : {64u, 129u, 500u}) {
-    const BitVec mask = rng.random_bits(n);
-    const BitVec packed = rng.random_bits(mask.popcount());
-    EXPECT_EQ(packed.scatter(mask).select(mask), packed) << n;
-    BitVec masked = rng.random_bits(n);
-    masked &= mask;
-    EXPECT_EQ(masked.select(mask).scatter(mask), masked) << n;
-  }
-}
-
 TEST(BitVec, ReserveKeepsContents) {
   BitVec v;
   v.reserve(1000);

@@ -59,11 +59,11 @@ TEST(KeyStoreLoad, GetKeyWithIdDrawsAnyPositionOnce) {
 }
 
 TEST(KeyStoreLoad, ConcurrentConservationStress) {
-  // 4 producers x 4 consumers under a capacity bound with
-  // kBlock backpressure, closed mid-flight from a racing producer's last
-  // key. Exact invariants after the joins:
+  // 4 producers x 4 consumers under a tight capacity bound, so deposits
+  // race draws for room and many are rejected. Exact invariants after the
+  // joins:
   //   deposited == consumed + (left in store == 0 after final drain)
-  //   produced == deposited + rejected
+  //   produced == deposited + rejected, every rejection a kCapacity
   //   ids unique across every draw.
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
@@ -71,8 +71,7 @@ TEST(KeyStoreLoad, ConcurrentConservationStress) {
   constexpr std::uint64_t kKeyBits = 128;
 
   KeyStoreConfig config;
-  config.capacity_bits = 8 * kKeyBits;  // tight: backpressure is exercised
-  config.on_overflow = OverflowPolicy::kBlock;
+  config.capacity_bits = 8 * kKeyBits;  // tight: rejection is exercised
   KeyStore store(config);
 
   std::atomic<std::uint64_t> accepted{0};
@@ -94,12 +93,7 @@ TEST(KeyStoreLoad, ConcurrentConservationStress) {
           rejected.fetch_add(1);
         }
       }
-      if (producers_done.fetch_add(1) + 1 == kProducers) {
-        // Last producer out closes the store: any depositor still blocked
-        // (there is none by now, but the path must be safe) is released
-        // and the consumers' drain loop below can terminate.
-        store.close();
-      }
+      producers_done.fetch_add(1);
     });
   }
   const auto record = [&](const StoredKey& key) {
@@ -132,6 +126,9 @@ TEST(KeyStoreLoad, ConcurrentConservationStress) {
   const std::uint64_t produced =
       std::uint64_t{kProducers} * kKeysEach;
   EXPECT_EQ(accepted.load() + rejected.load(), produced);
+  EXPECT_EQ(store.rejected_keys(), rejected.load());
+  EXPECT_EQ(store.rejected_keys(RejectReason::kCapacity), rejected.load());
+  EXPECT_EQ(store.rejected_bits(), rejected.load() * kKeyBits);
   EXPECT_EQ(store.total_deposited_bits(), accepted.load() * kKeyBits);
   EXPECT_EQ(store.total_consumed_bits(), accepted.load() * kKeyBits)
       << "every accepted bit must be drawn by the final sweeps";

@@ -1,6 +1,6 @@
 // KeyStore tests: ETSI-style two-endpoint consumption, the empty-deposit
-// regression, capacity bounds under both overflow policies, and the
-// per-consumer draw ledger.
+// regression, the capacity bound's reject rule, and the per-consumer draw
+// ledger.
 #include "pipeline/kms.hpp"
 
 #include <gtest/gtest.h>
@@ -42,7 +42,6 @@ TEST(KeyStore, RejectReasonNamesAreStable) {
   EXPECT_STREQ(to_string(RejectReason::kEmpty), "empty");
   EXPECT_STREQ(to_string(RejectReason::kOversized), "oversized");
   EXPECT_STREQ(to_string(RejectReason::kCapacity), "capacity");
-  EXPECT_STREQ(to_string(RejectReason::kClosed), "closed");
   EXPECT_STREQ(to_string(RejectReason::kCount_), "unknown");
 }
 
@@ -103,7 +102,6 @@ TEST(KeyStore, CapacityRejectsWithStatistic) {
   Xoshiro256 rng(3);
   KeyStoreConfig config;
   config.capacity_bits = 256;
-  config.on_overflow = OverflowPolicy::kReject;
   KeyStore store(config);
 
   EXPECT_TRUE(store.deposit(rng.random_bits(200)).accepted());
@@ -128,57 +126,11 @@ TEST(KeyStore, OversizedKeyRejectedEvenWhenEmpty) {
   Xoshiro256 rng(4);
   KeyStoreConfig config;
   config.capacity_bits = 128;
-  config.on_overflow = OverflowPolicy::kBlock;  // must not block forever
   KeyStore store(config);
   EXPECT_EQ(store.deposit(rng.random_bits(129)).reason,
             RejectReason::kOversized);
   EXPECT_EQ(store.rejected_keys(), 1u);
   EXPECT_EQ(store.rejected_keys(RejectReason::kOversized), 1u);
-}
-
-TEST(KeyStore, BlockingDepositWaitsForConsumer) {
-  Xoshiro256 rng(5);
-  KeyStoreConfig config;
-  config.capacity_bits = 100;
-  config.on_overflow = OverflowPolicy::kBlock;
-  KeyStore store(config);
-  ASSERT_TRUE(store.deposit(rng.random_bits(80)).accepted());
-
-  // Second deposit must block until the consumer thread drains the first.
-  DepositResult second;
-  std::thread depositor(
-      [&] { second = store.deposit(rng.random_bits(60)); });
-  std::thread consumer([&] {
-    while (!store.get_key("drain").has_value()) {
-      std::this_thread::yield();
-    }
-  });
-  depositor.join();
-  consumer.join();
-  EXPECT_TRUE(second.accepted());
-  EXPECT_EQ(store.bits_available(), 60u);
-  EXPECT_EQ(store.consumed_by("drain"), 80u);
-}
-
-TEST(KeyStore, CloseReleasesBlockedDepositors) {
-  Xoshiro256 rng(6);
-  KeyStoreConfig config;
-  config.capacity_bits = 100;
-  config.on_overflow = OverflowPolicy::kBlock;
-  KeyStore store(config);
-  ASSERT_TRUE(store.deposit(rng.random_bits(100)).accepted());
-
-  DepositResult blocked;
-  std::thread depositor(
-      [&] { blocked = store.deposit(rng.random_bits(50)); });
-  store.close();
-  depositor.join();
-  EXPECT_EQ(blocked.reason, RejectReason::kClosed);
-  EXPECT_EQ(store.rejected_keys(), 1u);
-  EXPECT_EQ(store.rejected_keys(RejectReason::kClosed), 1u);
-  EXPECT_EQ(store.rejected_bits(), 50u);
-  // The key that was already stored is still drawable.
-  EXPECT_TRUE(store.get_key().has_value());
 }
 
 TEST(KeyStore, PerConsumerDrawAccounting) {
@@ -212,7 +164,6 @@ TEST(KeyStore, PerConsumerDrawAccounting) {
 TEST(KeyStore, ConcurrentProducersAndConsumersStayConsistent) {
   KeyStoreConfig config;
   config.capacity_bits = 4096;
-  config.on_overflow = OverflowPolicy::kReject;
   KeyStore store(config);
 
   constexpr int kProducers = 4;

@@ -141,9 +141,8 @@ TEST(SessionChaos, ChannelOutageIsTypedAbortOnBothSides) {
   protocol::FaultProfile dead;
   dead.drop = 1.0;  // nothing crosses, in either direction
   protocol::RetryPolicy retry;
-  retry.max_retries = 3;
   retry.base_timeout = std::chrono::microseconds{500};
-  retry.exchange_deadline = std::chrono::milliseconds{300};
+  retry.exchange_deadline = std::chrono::milliseconds{150};
 
   const ChaosRun run = run_chaos_session(data, params, dead, retry, 90);
   // Both sides abort with a *typed* fault — no hang, no unwound exception,

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "auth/wegman_carter.hpp"
+#include "common/gf2.hpp"
 #include "common/rng.hpp"
 
 namespace qkdpp::privacy {
@@ -336,22 +336,21 @@ U128 verification_point(std::uint64_t seed) {
   return U128{rng.next_u64(), rng.next_u64()};
 }
 
-TEST(Verification, PolyEvalMatchesAuthPolyHash) {
-  // The header claims verification's poly_eval is the same construction as
-  // auth::poly_hash (Horner over GF(2^128) with a leading length block);
-  // pin it: on identical byte strings the two must agree bit for bit.
+TEST(Verification, TagIsPolyHashAtSeedPoint) {
+  // The tag is poly_hash of the key's bytes at the point derived from the
+  // public seed; pin the derivation bit for bit.
   Xoshiro256 rng(13);
   for (const std::size_t bits : {8u, 64u, 256u, 1000u, 4096u, 100000u}) {
     const BitVec key = rng.random_bits(bits);
     const std::uint64_t seed = rng.next_u64();
     const U128 r = verification_point(seed);
     const auto bytes = key.to_bytes();
-    EXPECT_EQ(verification_tag(key, seed), auth::poly_hash(r, bytes))
+    EXPECT_EQ(verification_tag(key, seed), poly_hash(r, bytes))
         << bits << " bits";
   }
 }
 
-TEST(Verification, PolyEvalMatchesAuthPolyHashAtBlockBoundaries) {
+TEST(Verification, TagIsPolyHashAtBlockBoundaries) {
   // 16-byte-block edges of the Horner loop: exactly one block, one block
   // +/- one byte, several blocks, and the empty-message length block.
   Xoshiro256 rng(14);
@@ -361,15 +360,15 @@ TEST(Verification, PolyEvalMatchesAuthPolyHashAtBlockBoundaries) {
     ASSERT_EQ(key.to_bytes().size(), n_bytes);
     const std::uint64_t seed = 0xb10cull + n_bytes;
     const U128 r = verification_point(seed);
-    EXPECT_EQ(verification_tag(key, seed), auth::poly_hash(r, key.to_bytes()))
+    EXPECT_EQ(verification_tag(key, seed), poly_hash(r, key.to_bytes()))
         << n_bytes << " bytes";
   }
 }
 
 TEST(Verification, PartialBlockPaddingIsLengthDistinguished) {
   // A partial final block is zero-padded; the leading length block must
-  // still separate a message from its zero-extended sibling in *both*
-  // constructions, and they must agree on the (distinct) tags.
+  // still separate a key from its zero-extended sibling, and both tags stay
+  // poly_hash at the seed's point.
   Xoshiro256 rng(15);
   const BitVec key = rng.random_bits(9 * 8);  // 9 bytes: partial block
   BitVec extended = key;
@@ -377,9 +376,9 @@ TEST(Verification, PartialBlockPaddingIsLengthDistinguished) {
   const std::uint64_t seed = 99;
   const U128 r = verification_point(seed);
   EXPECT_NE(verification_tag(key, seed), verification_tag(extended, seed));
-  EXPECT_EQ(verification_tag(key, seed), auth::poly_hash(r, key.to_bytes()));
+  EXPECT_EQ(verification_tag(key, seed), poly_hash(r, key.to_bytes()));
   EXPECT_EQ(verification_tag(extended, seed),
-            auth::poly_hash(r, extended.to_bytes()));
+            poly_hash(r, extended.to_bytes()));
 }
 
 }  // namespace

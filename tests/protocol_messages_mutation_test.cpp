@@ -20,7 +20,7 @@
 namespace qkdpp::protocol {
 namespace {
 
-/// Wire field kinds, as Encoder in messages.cpp writes them.
+/// Wire field kinds, as the field lists in messages.cpp order them.
 enum class Field { kU8, kU32, kU64, kF64, kU32Vec, kBitVec, kString };
 
 struct Sample {

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <variant>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -200,6 +205,51 @@ TEST(Messages, NamesAreStable) {
   EXPECT_STREQ(message_name(Message{Abort{}}), "Abort");
   EXPECT_STREQ(message_name(Message{DetectionReport{}}), "DetectionReport");
   EXPECT_STREQ(message_name(Message{PaParams{}}), "PaParams");
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes) {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins every tag and every field's width and order on the wire: the digest
+// came from this test body linked against the hand-written encoder that
+// preceded the field lists. Seeded contents, odd bitvec lengths.
+TEST(WireDigest, MatchesParent) {
+  Xoshiro256 rng(24);
+  const auto ids = [&rng](std::size_t n) {
+    return rng.sample_without_replacement(100000, n);
+  };
+  const std::vector<Message> all = {
+      DetectionReport{1, 100000, ids(37), rng.random_bits(37)},
+      SiftResult{2, rng.random_bits(37), rng.random_bits(19)},
+      PeReveal{3, ids(5), rng.random_bits(5)},
+      PeReport{4, rng.random_bits(5)},
+      PeVerdict{5, true, 0.021, 0.034},
+      ReconcileStart{6, ReconcileMethod::kCascade, rng.next_u64(), 3, 40, 12,
+                     0.02, rng.random_bits(203)},
+      ParityRequest{7, 2, {0, 16, 32}, {16, 32, 48}},
+      ParityResponse{8, 2, rng.random_bits(3)},
+      ReconcileDone{9, rng.random_bits(9)},
+      BlindRequest{10, 4, 1},
+      BlindResponse{11, 4, 1, ids(6), rng.random_bits(6)},
+      VerifyRequest{12, rng.next_u64(), rng.next_u64(), rng.next_u64()},
+      VerifyResponse{13, true},
+      PaParams{14, rng.next_u64(), 1000},
+      KeyConfirm{15, rng.next_u64(), 0xdeadbeef},
+      Abort{16, 2, "qber above abort threshold"},
+  };
+  ASSERT_EQ(all.size(), std::variant_size_v<Message>);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(all[i].index(), i);
+    EXPECT_EQ(message_type(all[i]), i + 1) << message_name(all[i]);
+    digest = fnv1a(digest, encode_message(all[i]));
+  }
+  EXPECT_EQ(digest, 0x171c81bb50f4cad6ULL);
 }
 
 }  // namespace

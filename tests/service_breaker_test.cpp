@@ -1,9 +1,10 @@
 // Circuit-breaker + degradation-upward tests: a session-transport link
 // under a classical-channel outage opens its breaker after the abort
-// streak, sheds the cooldown window instead of burning retransmission
-// budgets, half-open probes back off geometrically while the outage holds,
-// and the open state propagates upward — the router treats the edge like
-// admin-down, the delivery facade answers 503 with breaker detail. Plus
+// streak, sheds the cooldown window instead of waiting out an exchange
+// deadline per block, half-open probes back off geometrically while the
+// outage holds, and the open state propagates upward — the router treats
+// the edge like admin-down, the delivery facade answers 503 with breaker
+// detail. Plus
 // the windowed-QBER regression (aborted blocks stay out of the health
 // window) and the fleet under steady loss: faults cost wall-clock time,
 // never key bytes.
@@ -26,15 +27,14 @@
 namespace qkdpp::service {
 namespace {
 
-/// Fast-abort ARQ posture: an outage block should cost tens of
-/// milliseconds, not the deployment-tuned retry budget. The base timeout
-/// stays at 2 ms so a CI scheduling hiccup cannot burn the whole budget
-/// on a healthy channel.
+/// Fast-abort ARQ posture: an outage block should cost a fraction of a
+/// second, not the deployment-tuned 5 s exchange deadline. 150 ms still
+/// covers the compute between two Cascade messages at this block size,
+/// under TSan too, so a healthy block does not time out.
 protocol::RetryPolicy fast_retry() {
   protocol::RetryPolicy retry;
-  retry.max_retries = 5;
   retry.base_timeout = std::chrono::milliseconds{2};
-  retry.exchange_deadline = std::chrono::milliseconds{5000};
+  retry.exchange_deadline = std::chrono::milliseconds{150};
   retry.close_linger = std::chrono::milliseconds{50};
   return retry;
 }
@@ -266,12 +266,21 @@ TEST_P(FleetChaos, SteadyLossCostsTimeNeverKeyBytes) {
   // Untimed warm-up: the first run builds the LDPC codes, which would make
   // whichever arm runs first look slower.
   (void)run_fleet({}, seed);
+  // ABBA order: a host that speeds up or slows down during the test moves
+  // both means alike, where a single clean arm timed first would take the
+  // whole drift.
   const FleetRun clean = run_fleet({}, seed);
   const FleetRun chaotic = run_fleet(loss, seed);
   const FleetRun replay = run_fleet(loss, seed);
+  const FleetRun clean_again = run_fleet({}, seed);
 
   ASSERT_GT(clean.secret_bits, 0u);
-  EXPECT_GE(chaotic.goodput_bits_per_s, 0.7 * clean.goodput_bits_per_s);
+  const double clean_goodput =
+      (clean.goodput_bits_per_s + clean_again.goodput_bits_per_s) / 2;
+  const double lossy_goodput =
+      (chaotic.goodput_bits_per_s + replay.goodput_bits_per_s) / 2;
+  EXPECT_GE(lossy_goodput, 0.7 * clean_goodput);
+  EXPECT_TRUE(clean_again.key_bytes == clean.key_bytes);
   EXPECT_TRUE(chaotic.key_bytes == clean.key_bytes);
   // Retransmit and fault counts depend on timing (a slow peer triggers a
   // spurious retransmit, which draws another fault), so the replay must
@@ -279,7 +288,7 @@ TEST_P(FleetChaos, SteadyLossCostsTimeNeverKeyBytes) {
   EXPECT_TRUE(replay.key_bytes == chaotic.key_bytes);
   EXPECT_EQ(replay.secret_bits, chaotic.secret_bits);
   EXPECT_EQ(clean.mismatched_keys + chaotic.mismatched_keys +
-                replay.mismatched_keys,
+                replay.mismatched_keys + clean_again.mismatched_keys,
             0u);
   EXPECT_GT(chaotic.faults_injected, 0u);
   EXPECT_GT(chaotic.retransmits, 0u);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -80,7 +81,6 @@ TEST(LinkOrchestrator, ShorterLinksYieldMoreSecretBits) {
 TEST(LinkOrchestrator, TightBoundRejectsOverflowWithoutDeadlock) {
   OrchestratorConfig config = small_fleet(3);
   config.store.capacity_bits = 2048;  // far below one block's secret yield
-  config.store.on_overflow = pipeline::OverflowPolicy::kReject;
   LinkOrchestrator orchestrator(std::move(config));
   const auto report = orchestrator.run();
 
@@ -137,7 +137,8 @@ TEST(LinkOrchestrator, ChannelSettingsValidatedAtConstruction) {
   expect_config_error(std::move(phase));
 
   OrchestratorConfig retry = small_fleet(1);
-  retry.links[1].channel_retry.max_retries = 0;
+  retry.links[1].channel_retry.exchange_deadline =
+      std::chrono::milliseconds{0};
   expect_config_error(std::move(retry));
 }
 
